@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 namespace vpart {
 
@@ -18,25 +18,64 @@ constexpr double kDropTol = 1e-14;
 void LuFactorization::Clear() {
   valid_ = false;
   updates_ = 0;
+  nonzeros_ = num_rows_;  // diagonals
   etas_.clear();
+  eta_index_.clear();
+  eta_value_.clear();
   order_.clear();
-  pivot_row_.assign(num_rows_, -1);
+  unit_.clear();
   pos_of_.assign(num_rows_, -1);
+  unit_slot_.assign(num_rows_, -1);
+  pivot_row_.assign(num_rows_, -1);
   diag_.assign(num_rows_, 0.0);
-  ucols_.assign(num_rows_, {});
-  urows_.assign(num_rows_, {});
+  // Inner vectors are cleared, not destroyed, so their capacity carries
+  // over to the next factorization.
+  ucols_.resize(num_rows_);
+  urows_.resize(num_rows_);
+  for (auto& col : ucols_) col.clear();
+  for (auto& row : urows_) row.clear();
   workspace_.assign(num_rows_, 0.0);
   solve_.assign(num_rows_, 0.0);
   rowwork_.assign(num_rows_, 0.0);
 }
 
-long LuFactorization::factor_nonzeros() const {
-  long nnz = num_rows_;  // diagonals
-  for (const EtaOp& eta : etas_) {
-    nnz += static_cast<long>(eta.entries.size()) + 1;
+void LuFactorization::EliminationBuffers::Reset(int m) {
+  acols.resize(m);
+  row_cols.resize(m);
+  buckets.resize(m + 1);
+  for (auto& col : acols) col.clear();
+  for (auto& positions : row_cols) positions.clear();
+  for (auto& bucket : buckets) bucket.clear();
+  col_count.assign(m, 0);
+  row_count.assign(m, 0);
+  filed_count.assign(m, -1);
+  pivoted_row.assign(m, 0);
+  pivoted_col.assign(m, 0);
+  present.assign(m, 0);
+  touched.clear();
+}
+
+void LuFactorization::PushEta(EtaOp::Kind kind, int row, double pivot,
+                              int begin) {
+  const int end = static_cast<int>(eta_index_.size());
+  // Every eta counts its entries plus one (its pivot), stored or not.
+  nonzeros_ += end - begin + 1;
+  // An identity column eta (pivot 1.0, no entries) leaves every vector
+  // unchanged in FTRAN, BTRAN and the partial FTRAN: x/1.0 == x and
+  // (x - 0.0)/1.0 == x bit for bit. It is counted but not stored.
+  if (kind == EtaOp::Kind::kColumn && pivot == 1.0 && begin == end) return;
+  etas_.push_back({kind, row, pivot, begin, end});
+}
+
+void LuFactorization::PlacePosition(int pos) {
+  if (ucols_[pos].empty() && diag_[pos] == 1.0) {
+    pos_of_[pos] = -1;
+    unit_slot_[pos] = static_cast<int>(unit_.size());
+    unit_.push_back(pos);
+  } else {
+    pos_of_[pos] = static_cast<int>(order_.size());
+    order_.push_back(pos);
   }
-  for (const auto& col : ucols_) nnz += static_cast<long>(col.size());
-  return nnz;
 }
 
 bool LuFactorization::Factorize(const std::vector<int>& col_start,
@@ -50,12 +89,14 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
 
   // Active submatrix, column-wise over basis positions. Entries only ever
   // reference active (unpivoted) rows: a pivoted row's entries are removed
-  // from every affected column during its elimination step.
-  std::vector<std::vector<std::pair<int, double>>> acols(m);
-  std::vector<int> col_count(m, 0), row_count(m, 0);
-  // Superset of the positions whose column touches each row (append-only;
+  // from every affected column during its elimination step. row_cols is a
+  // superset of the positions whose column touches each row (append-only;
   // entries are validated against acols on use).
-  std::vector<std::vector<int>> row_cols(m);
+  elim_.Reset(m);
+  auto& acols = elim_.acols;
+  auto& row_cols = elim_.row_cols;
+  auto& col_count = elim_.col_count;
+  auto& row_count = elim_.row_count;
   for (int k = 0; k < m; ++k) {
     const int j = basis[k];
     if (j < 0) return false;
@@ -71,11 +112,12 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
     if (col_count[k] == 0) return false;  // structurally singular
   }
 
-  std::vector<uint8_t> pivoted_row(m, 0), pivoted_col(m, 0);
+  auto& pivoted_row = elim_.pivoted_row;
+  auto& pivoted_col = elim_.pivoted_col;
   // Markowitz candidate buckets keyed by active column count. Entries can
   // be stale (the count moved on); they are validated and refiled on scan.
-  std::vector<std::vector<int>> buckets(m + 1);
-  std::vector<int> filed_count(m, -1);
+  auto& buckets = elim_.buckets;
+  auto& filed_count = elim_.filed_count;
   auto refile = [&](int k) {
     if (pivoted_col[k]) return;
     const int c = col_count[k];
@@ -87,9 +129,8 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
   for (int k = 0; k < m; ++k) refile(k);
 
   // Presence map for the scatter/gather column updates.
-  std::vector<uint8_t> present(m, 0);
-  std::vector<int> touched;
-  touched.reserve(64);
+  auto& present = elim_.present;
+  auto& touched = elim_.touched;
 
   for (int step = 0; step < m; ++step) {
     // --- pivot selection: threshold partial pivoting within the sparsest
@@ -158,23 +199,23 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
     assert(piv != 0.0);
 
     // L eta: the pivot column's other active entries.
-    EtaOp eta;
-    eta.kind = EtaOp::Kind::kColumn;
-    eta.row = pr;
-    eta.pivot = piv;
+    const int eta_begin = static_cast<int>(eta_index_.size());
     for (const auto& [i, v] : acols[pk]) {
       if (i != pr) {
-        eta.entries.emplace_back(i, v);
+        eta_index_.push_back(i);
+        eta_value_.push_back(v);
         --row_count[i];  // column pk leaves the active matrix
       }
     }
+    const int eta_end = static_cast<int>(eta_index_.size());
 
     pivoted_row[pr] = 1;
     pivoted_col[pk] = 1;
     pivot_row_[pk] = pr;
-    pos_of_[pk] = step;
-    order_.push_back(pk);
     diag_[pk] = 1.0;
+    // Row pr is eliminated from the later columns below, so pk's U column
+    // is already complete.
+    PlacePosition(pk);
 
     // Eliminate row pr from every active column it touches, recording the
     // U row (values divided by the pivot) as it freezes. present[] tags
@@ -194,6 +235,27 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
       const double mult = v / piv;
       ucols_[k].emplace_back(pr, mult);
       urows_[pr].emplace_back(k, mult);
+      ++nonzeros_;
+
+      auto& col = acols[k];
+      if (eta_begin == eta_end) {
+        // Empty pivot column (a slack singleton, mostly): no fill, so the
+        // update below reduces to dropping row pr and any entry at or
+        // under kDropTol, in place and in the same order.
+        size_t kept = 0;
+        for (const auto& entry : col) {
+          if (entry.first == pr) continue;
+          if (std::abs(entry.second) > kDropTol) {
+            col[kept++] = entry;
+          } else {
+            --row_count[entry.first];  // exact cancellation
+          }
+        }
+        col.resize(kept);
+        col_count[k] = static_cast<int>(kept);
+        refile(k);
+        continue;
+      }
 
       // Column update: drop row pr, subtract mult * pivot column.
       touched.clear();
@@ -203,15 +265,15 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
         present[i] = 1;
         touched.push_back(i);
       }
-      for (const auto& [i, a] : eta.entries) {
+      for (int e = eta_begin; e < eta_end; ++e) {
+        const int i = eta_index_[e];
         if (!present[i]) {
           present[i] = 2;  // fill candidate
           touched.push_back(i);
           workspace_[i] = 0.0;
         }
-        workspace_[i] -= a * mult;
+        workspace_[i] -= eta_value_[e] * mult;
       }
-      auto& col = acols[k];
       col.clear();
       for (int i : touched) {
         const double w = workspace_[i];
@@ -231,10 +293,10 @@ bool LuFactorization::Factorize(const std::vector<int>& col_start,
       refile(k);
     }
 
-    etas_.push_back(std::move(eta));
+    PushEta(EtaOp::Kind::kColumn, pr, piv, eta_begin);
   }
 
-  fresh_nonzeros_ = factor_nonzeros();
+  fresh_nonzeros_ = nonzeros_;
   valid_ = true;
   ++stats_.factorizations;
   return true;
@@ -246,53 +308,67 @@ void LuFactorization::Ftran(std::vector<double>& w) const {
     if (eta.kind == EtaOp::Kind::kColumn) {
       const double wr = w[eta.row];
       if (wr == 0.0) continue;
-      const double piv = wr / eta.pivot;
+      const double piv = eta.pivot == 1.0 ? wr : wr / eta.pivot;
       w[eta.row] = piv;
-      for (const auto& [i, v] : eta.entries) w[i] -= v * piv;
+      for (int e = eta.begin; e < eta.end; ++e) {
+        w[eta_index_[e]] -= eta_value_[e] * piv;
+      }
     } else {
       double dot = 0.0;
-      for (const auto& [i, v] : eta.entries) dot += v * w[i];
+      for (int e = eta.begin; e < eta.end; ++e) {
+        dot += eta_value_[e] * w[eta_index_[e]];
+      }
       w[eta.row] -= dot;
     }
   }
   // Back substitution on U (unit or explicit diagonals), reverse pivot
-  // order; the solution is indexed by basis position.
-  for (int t = num_rows_ - 1; t >= 0; --t) {
-    const int k = order_[t];
-    const int r = pivot_row_[k];
-    const double xk = w[r] / diag_[k];
+  // order; the solution is indexed by basis position. A unit position
+  // reads its row only after every later column has updated it, so the
+  // gather below sees the same value it would in order.
+  for (size_t s = order_.size(); s-- > 0;) {
+    const int k = order_[s];
+    if (k < 0) continue;
+    const double wr = w[pivot_row_[k]];
+    const double xk = diag_[k] == 1.0 ? wr : wr / diag_[k];
     solve_[k] = xk;
     if (xk != 0.0) {
       for (const auto& [i, v] : ucols_[k]) w[i] -= v * xk;
     }
   }
-  w = solve_;
+  for (int k : unit_) solve_[k] = w[pivot_row_[k]];
+  w.swap(solve_);
 }
 
 void LuFactorization::Btran(std::vector<double>& v) const {
   if (!valid_) return;
-  // Forward substitution on Uᵀ in pivot order; z lives in row space.
-  for (int t = 0; t < num_rows_; ++t) {
-    const int k = order_[t];
-    const int r = pivot_row_[k];
+  // Forward substitution on Uᵀ in pivot order; z lives in row space. Unit
+  // positions depend on nothing but their own input and go first.
+  for (int k : unit_) solve_[pivot_row_[k]] = v[k];
+  for (const int k : order_) {
+    if (k < 0) continue;
     double acc = v[k];
     for (const auto& [i, val] : ucols_[k]) acc -= val * solve_[i];
-    solve_[r] = acc / diag_[k];
+    solve_[pivot_row_[k]] = diag_[k] == 1.0 ? acc : acc / diag_[k];
   }
   // Transposed left factor, reverse order.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
     if (it->kind == EtaOp::Kind::kColumn) {
       double dot = 0.0;
-      for (const auto& [i, val] : it->entries) dot += val * solve_[i];
-      solve_[it->row] = (solve_[it->row] - dot) / it->pivot;
+      for (int e = it->begin; e < it->end; ++e) {
+        dot += eta_value_[e] * solve_[eta_index_[e]];
+      }
+      const double acc = solve_[it->row] - dot;
+      solve_[it->row] = it->pivot == 1.0 ? acc : acc / it->pivot;
     } else {
       const double vr = solve_[it->row];
       if (vr != 0.0) {
-        for (const auto& [i, val] : it->entries) solve_[i] -= val * vr;
+        for (int e = it->begin; e < it->end; ++e) {
+          solve_[eta_index_[e]] -= eta_value_[e] * vr;
+        }
       }
     }
   }
-  v = solve_;
+  v.swap(solve_);
 }
 
 void LuFactorization::PartialFtran(const std::vector<int>& col_start,
@@ -309,15 +385,19 @@ void LuFactorization::PartialFtran(const std::vector<int>& col_start,
     if (eta.kind == EtaOp::Kind::kColumn) {
       const double wr = workspace_[eta.row];
       if (wr == 0.0) continue;
-      const double piv = wr / eta.pivot;
+      const double piv = eta.pivot == 1.0 ? wr : wr / eta.pivot;
       workspace_[eta.row] = piv;
-      for (const auto& [i, v] : eta.entries) {
+      for (int e = eta.begin; e < eta.end; ++e) {
+        const int i = eta_index_[e];
+        const double v = eta_value_[e];
         if (workspace_[i] == 0.0 && v * piv != 0.0) support.push_back(i);
         workspace_[i] -= v * piv;
       }
     } else {
       double dot = 0.0;
-      for (const auto& [i, v] : eta.entries) dot += v * workspace_[i];
+      for (int e = eta.begin; e < eta.end; ++e) {
+        dot += eta_value_[e] * workspace_[eta_index_[e]];
+      }
       if (dot != 0.0 && workspace_[eta.row] == 0.0) {
         support.push_back(eta.row);
       }
@@ -353,59 +433,63 @@ bool LuFactorization::Update(const std::vector<int>& col_start,
                              const std::vector<double>& value, int entering,
                              int pos) {
   if (!valid_) return false;
-  const int t0 = pos_of_[pos];
   const int r0 = pivot_row_[pos];
 
   // Spike = L⁻¹ a_entering (partial FTRAN through the left factor only).
-  std::vector<int> support;
+  std::vector<int>& support = spike_support_;
   PartialFtran(col_start, row_index, value, entering, support);
   double spike_max = 0.0;
   for (int i : support) spike_max = std::max(spike_max, std::abs(workspace_[i]));
-
-  auto clear_spike = [&]() {
-    for (int i : support) workspace_[i] = 0.0;
-  };
 
   // Remove the leaving column of U.
   for (const auto& [i, v] : ucols_[pos]) {
     (void)v;
     RemoveRowEntry(i, pos);
   }
+  nonzeros_ -= static_cast<long>(ucols_[pos].size());
   ucols_[pos].clear();
   diag_[pos] = 0.0;
 
   // Detach row r0's off-diagonal entries (all at later pivot positions);
   // they seed the Forrest–Tomlin row elimination.
-  std::vector<std::pair<int, double>> row_entries = std::move(urows_[r0]);
-  urows_[r0].clear();
-  for (const auto& [k, v] : row_entries) {
+  detached_row_.clear();
+  detached_row_.swap(urows_[r0]);
+  for (const auto& [k, v] : detached_row_) {
     (void)v;
     RemoveColEntry(k, r0);
   }
+  nonzeros_ -= static_cast<long>(detached_row_.size());
 
-  // Eliminate row r0 against the later pivot rows, in pivot order; fill
-  // lands at still-later positions and is eliminated in turn. solve_ is
-  // the dense row workspace (position-indexed).
-  using Break = std::pair<int, int>;  // (order index, position)
-  std::priority_queue<Break, std::vector<Break>, std::greater<Break>> heap;
-  for (const auto& [k, v] : row_entries) {
+  // Eliminate row r0 against the later pivot rows, in pivot order (a
+  // min-heap on order slots); fill lands at still-later positions and is
+  // eliminated in turn. rowwork_ is the dense row workspace
+  // (position-indexed). Every position reached has a nonempty U column, so
+  // it holds an order slot.
+  const auto later = std::greater<std::pair<int, int>>();
+  heap_.clear();
+  for (const auto& [k, v] : detached_row_) {
     rowwork_[k] = v;
-    heap.push({pos_of_[k], k});
+    heap_.emplace_back(pos_of_[k], k);
+    std::push_heap(heap_.begin(), heap_.end(), later);
   }
   double dval = workspace_[r0];  // spike's diagonal seed
-  std::vector<std::pair<int, double>> eta_entries;
-  while (!heap.empty()) {
-    const auto [t, k] = heap.top();
-    heap.pop();
-    (void)t;
+  const int eta_begin = static_cast<int>(eta_index_.size());
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const int k = heap_.back().second;
+    heap_.pop_back();
     const double val = rowwork_[k];
     rowwork_[k] = 0.0;
     if (std::abs(val) <= kDropTol) continue;
     const int rj = pivot_row_[k];
-    const double mu = val / diag_[k];
-    eta_entries.emplace_back(rj, mu);
+    const double mu = diag_[k] == 1.0 ? val : val / diag_[k];
+    eta_index_.push_back(rj);
+    eta_value_.push_back(mu);
     for (const auto& [k2, v2] : urows_[rj]) {
-      if (rowwork_[k2] == 0.0) heap.push({pos_of_[k2], k2});
+      if (rowwork_[k2] == 0.0) {
+        heap_.emplace_back(pos_of_[k2], k2);
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
       rowwork_[k2] -= mu * v2;
     }
     // The row operation also folds the spike's rj entry into the diagonal.
@@ -416,7 +500,9 @@ bool LuFactorization::Update(const std::vector<int>& col_start,
   // trusted — reject and force a refactorization.
   if (std::abs(dval) <
       std::max(options_.pivot_tol, options_.stability_tol * spike_max)) {
-    clear_spike();
+    for (int i : support) workspace_[i] = 0.0;
+    eta_index_.resize(eta_begin);
+    eta_value_.resize(eta_begin);
     ++stats_.refactor_stability;
     valid_ = false;
     return false;
@@ -433,19 +519,24 @@ bool LuFactorization::Update(const std::vector<int>& col_start,
     if (i == r0 || std::abs(v) <= kDropTol) continue;
     ucols_[pos].emplace_back(i, v);
     urows_[i].emplace_back(pos, v);
+    ++nonzeros_;
   }
 
-  // Move `pos` to the end of the pivot order.
-  order_.erase(order_.begin() + t0);
-  order_.push_back(pos);
-  for (int t = t0; t < num_rows_; ++t) pos_of_[order_[t]] = t;
+  // Move `pos` to the end of the pivot order: vacate its slot (or its unit
+  // entry) and place it again. No other position moves.
+  if (pos_of_[pos] >= 0) {
+    order_[pos_of_[pos]] = -1;
+  } else {
+    const int slot = unit_slot_[pos];
+    unit_[slot] = unit_.back();
+    unit_slot_[unit_[slot]] = slot;
+    unit_.pop_back();
+    unit_slot_[pos] = -1;
+  }
+  PlacePosition(pos);
 
-  if (!eta_entries.empty()) {
-    EtaOp eta;
-    eta.kind = EtaOp::Kind::kRow;
-    eta.row = r0;
-    eta.entries = std::move(eta_entries);
-    etas_.push_back(std::move(eta));
+  if (static_cast<int>(eta_index_.size()) > eta_begin) {
+    PushEta(EtaOp::Kind::kRow, r0, 1.0, eta_begin);
   }
 
   ++updates_;
@@ -460,7 +551,7 @@ bool LuFactorization::NeedsRefactorization() {
     return true;
   }
   if (updates_ > 0 &&
-      factor_nonzeros() >
+      nonzeros_ >
           static_cast<long>(options_.fill_ratio *
                             static_cast<double>(fresh_nonzeros_)) +
               num_rows_) {

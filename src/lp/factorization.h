@@ -120,8 +120,10 @@ class LuFactorization {
   bool NeedsRefactorization();
 
   int num_rows() const { return num_rows_; }
-  /// Nonzeros currently held across L, the update etas, and U.
-  long factor_nonzeros() const;
+  /// Nonzeros currently held across L, the update etas, and U. Identity
+  /// column etas are not stored but each still counts one, so the fill
+  /// trigger sees every eta; the count is kept incrementally.
+  long factor_nonzeros() const { return nonzeros_; }
   int updates_since_factorize() const { return updates_; }
 
   const Stats& stats() const { return stats_; }
@@ -129,9 +131,11 @@ class LuFactorization {
 
  private:
   /// One elementary transformation of the left factor, applied to row-space
-  /// vectors during FTRAN (and transposed, in reverse, during BTRAN).
+  /// vectors during FTRAN (and transposed, in reverse, during BTRAN). Its
+  /// entries are eta_index_/eta_value_[begin, end).
   ///  * kColumn (from Factorize): w[row] /= pivot; w[i] -= v_i * w[row] —
-  ///    the classic Gauss column elimination, pivot kept explicit.
+  ///    the classic Gauss column elimination, pivot kept explicit. Identity
+  ///    etas (pivot 1.0, no entries) are never stored.
   ///  * kRow (from Update): w[row] -= sum_i v_i * w[i] — the Forrest–Tomlin
   ///    row elimination folded into the left factor.
   struct EtaOp {
@@ -139,10 +143,32 @@ class LuFactorization {
     Kind kind = Kind::kColumn;
     int row = -1;
     double pivot = 1.0;  // kColumn only
-    std::vector<std::pair<int, double>> entries;
+    int begin = 0;
+    int end = 0;
+  };
+
+  /// Elimination buffers of Factorize(), owned by the factorization and
+  /// reused across calls so a rebuild does not reallocate them.
+  struct EliminationBuffers {
+    // Active submatrix column-wise over basis positions, and a superset of
+    // the positions whose column touches each row.
+    std::vector<std::vector<std::pair<int, double>>> acols;
+    std::vector<std::vector<int>> row_cols;
+    // Markowitz candidate buckets keyed by active column count.
+    std::vector<std::vector<int>> buckets;
+    std::vector<int> col_count, row_count, filed_count;
+    std::vector<uint8_t> pivoted_row, pivoted_col, present;
+    std::vector<int> touched;
+
+    /// Empties every buffer for an m-row factorization, keeping capacity.
+    void Reset(int m);
   };
 
   void Clear();
+  void PushEta(EtaOp::Kind kind, int row, double pivot, int begin);
+  /// Appends `pos` to the elimination order, or to the unit positions when
+  /// its U column is empty and its diagonal exactly 1.0.
+  void PlacePosition(int pos);
   /// Scatters CSC column `j` into workspace_ and applies the left factor
   /// (partial FTRAN); the result is the spike L⁻¹a_j. Returns its support.
   void PartialFtran(const std::vector<int>& col_start,
@@ -156,32 +182,50 @@ class LuFactorization {
   int num_rows_ = 0;
   bool valid_ = false;
   int updates_ = 0;
+  long nonzeros_ = 0;        // factor_nonzeros()
   long fresh_nonzeros_ = 0;  // L + U nnz right after Factorize()
   Stats stats_;
 
   // Left factor: column etas from Factorize, then row etas from updates.
   std::vector<EtaOp> etas_;
+  std::vector<int> eta_index_;
+  std::vector<double> eta_value_;
 
-  // U, triangular in the elimination order `order_`:
-  //  order_[t]   = basis position pivoted at step t
-  //  pivot_row_[k] / pos_of_[k] = pivot row / order index of position k
+  // U, triangular in the elimination order:
+  //  order_[s]   = basis position at slot s, or -1 for a slot vacated by an
+  //                update; an update appends its position, so slots are
+  //                order stamps and never renumbered
+  //  pos_of_[k]  = slot of position k, or -1 for a unit position
+  //  unit_       = unit positions (empty U column, diagonal exactly 1.0),
+  //                in any order; unit_slot_[k] = index in unit_, or -1
+  //  pivot_row_[k] = pivot row of position k
   //  diag_[k]    = diagonal value of column k (1.0 from Factorize; real
   //                values after FT updates)
   //  ucols_[k]   = off-diagonal entries (row, value) of U column k
   //  urows_[r]   = off-diagonal entries (position k, value) of U row r
+  // A unit position only copies one value in FTRAN and BTRAN, so the
+  // solves handle all of them as one permutation pass (after the ordered
+  // positions in FTRAN, before them in BTRAN).
   std::vector<int> order_;
-  std::vector<int> pivot_row_;
   std::vector<int> pos_of_;
+  std::vector<int> unit_;
+  std::vector<int> unit_slot_;
+  std::vector<int> pivot_row_;
   std::vector<double> diag_;
   std::vector<std::vector<std::pair<int, double>>> ucols_;
   std::vector<std::vector<std::pair<int, double>>> urows_;
 
   // Scratch, sized to num_rows_. workspace_ (row space) and rowwork_
-  // (position space) are kept all-zero between uses; solve_ holds the last
-  // FTRAN/BTRAN solution and must never be assumed clean.
+  // (position space) are kept all-zero between uses; solve_ holds the
+  // previous FTRAN/BTRAN input after the swap and must never be assumed
+  // clean.
   mutable std::vector<double> workspace_;
   mutable std::vector<double> solve_;
   std::vector<double> rowwork_;
+  EliminationBuffers elim_;
+  std::vector<int> spike_support_;
+  std::vector<std::pair<int, double>> detached_row_;
+  std::vector<std::pair<int, int>> heap_;  // (order slot, position)
 };
 
 }  // namespace vpart

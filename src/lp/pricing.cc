@@ -9,15 +9,14 @@ void DevexPricing::Reset(int num_cols) {
   weights_.assign(num_cols, 1.0);
 }
 
-void DevexPricing::UpdateOnPivot(const std::vector<double>& alpha_row,
-                                 int entering, double alpha_q, int leaving) {
+void DevexPricing::UpdateOnPivot(
+    const std::vector<std::pair<int, double>>& alpha_row, int entering,
+    double alpha_q, int leaving) {
   if (alpha_q == 0.0) return;
   const double wq = weights_[entering];
   const double inv_sq = 1.0 / (alpha_q * alpha_q);
   double max_weight = 0.0;
-  for (size_t j = 0; j < alpha_row.size(); ++j) {
-    const double a = alpha_row[j];
-    if (a == 0.0) continue;
+  for (const auto& [j, a] : alpha_row) {
     const double candidate = a * a * inv_sq * wq;
     if (candidate > weights_[j]) weights_[j] = candidate;
     max_weight = std::max(max_weight, weights_[j]);
@@ -34,13 +33,14 @@ void DualSteepestEdgePricing::Reset(int num_rows) {
 }
 
 void DualSteepestEdgePricing::UpdateOnPivot(const std::vector<double>& w,
+                                            const std::vector<int>& nonzeros,
                                             int r, double alpha_r) {
   if (alpha_r == 0.0) return;
   const double gr = weights_[r];
   const double inv_sq = 1.0 / (alpha_r * alpha_r);
   double max_weight = 0.0;
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (static_cast<int>(i) == r || w[i] == 0.0) continue;
+  for (const int i : nonzeros) {
+    if (i == r) continue;
     const double candidate = w[i] * w[i] * inv_sq * gr;
     if (candidate > weights_[i]) weights_[i] = candidate;
     max_weight = std::max(max_weight, weights_[i]);

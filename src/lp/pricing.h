@@ -1,6 +1,7 @@
 #ifndef VPART_LP_PRICING_H_
 #define VPART_LP_PRICING_H_
 
+#include <utility>
 #include <vector>
 
 namespace vpart {
@@ -47,12 +48,13 @@ class DevexPricing {
     return violation * violation / weights_[j];
   }
 
-  /// Weight update after a basis change. `alpha_row[j]` is the pivot row in
-  /// the nonbasic columns (zero where not computed), `entering`/`alpha_q`
-  /// the entering column and its pivot-row entry, `leaving` the column that
-  /// left the basis. Triggers a framework reset when weights explode.
-  void UpdateOnPivot(const std::vector<double>& alpha_row, int entering,
-                     double alpha_q, int leaving);
+  /// Weight update after a basis change. `alpha_row` lists the nonzero
+  /// pivot-row entries (j, alpha_j) over the nonbasic columns in ascending
+  /// j, `entering`/`alpha_q` the entering column and its pivot-row entry,
+  /// `leaving` the column that left the basis. Triggers a framework reset
+  /// when weights explode.
+  void UpdateOnPivot(const std::vector<std::pair<int, double>>& alpha_row,
+                     int entering, double alpha_q, int leaving);
 
   long resets() const { return resets_; }
 
@@ -95,8 +97,11 @@ class DualSteepestEdgePricing {
   }
 
   /// Weight update after a dual pivot: `w` is the FTRANed entering column
-  /// (basis-position space), `r` the leaving position, `alpha_r` = w[r].
-  void UpdateOnPivot(const std::vector<double>& w, int r, double alpha_r);
+  /// (basis-position space), `nonzeros` its nonzero positions in ascending
+  /// order, `r` the leaving position, `alpha_r` = w[r].
+  void UpdateOnPivot(const std::vector<double>& w,
+                     const std::vector<int>& nonzeros, int r,
+                     double alpha_r);
 
   long resets() const { return resets_; }
 

@@ -227,13 +227,6 @@ long SimplexSolver::MaxIterations() const {
              : 200L * (num_rows_ + num_cols_) + 20000L;
 }
 
-void SimplexSolver::ScatterColumn(int j, std::vector<double>& out) const {
-  std::fill(out.begin(), out.end(), 0.0);
-  for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-    out[row_index_[k]] = value_[k];
-  }
-}
-
 void SimplexSolver::Ftran(std::vector<double>& w) const { factor_.Ftran(w); }
 
 void SimplexSolver::Btran(std::vector<double>& v) const { factor_.Btran(v); }
@@ -277,7 +270,8 @@ bool SimplexSolver::UpdateFactorization(int entering, int row,
 }
 
 void SimplexSolver::RecomputeBasicValues() {
-  std::vector<double> r = rhs_;
+  std::vector<double>& r = basic_rhs_;
+  r = rhs_;
   for (int j = 0; j < num_cols_; ++j) {
     if (state_[j] == VarState::kBasic || xval_[j] == 0.0) continue;
     for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
@@ -286,6 +280,39 @@ void SimplexSolver::RecomputeBasicValues() {
   }
   Ftran(r);
   for (int i = 0; i < num_rows_; ++i) xval_[basis_[i]] = r[i];
+}
+
+void SimplexSolver::FtranColumn(int j) {
+  w_.assign(num_rows_, 0.0);
+  for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+    w_[row_index_[k]] = value_[k];
+  }
+  Ftran(w_);
+  // Branch-free compaction: w is ~25% dense, too irregular for a
+  // predictable branch.
+  w_nonzeros_.resize(num_rows_);
+  int count = 0;
+  for (int i = 0; i < num_rows_; ++i) {
+    w_nonzeros_[count] = i;
+    count += w_[i] != 0.0 ? 1 : 0;
+  }
+  w_nonzeros_.resize(count);
+}
+
+void SimplexSolver::ComputePivotRow(int r, bool skip_fixed) {
+  rho_.assign(num_rows_, 0.0);
+  rho_[r] = 1.0;
+  Btran(rho_);
+  alpha_nonzeros_.clear();
+  for (int j = 0; j < num_cols_; ++j) {
+    if (state_[j] == VarState::kBasic) continue;
+    if (skip_fixed && lower_[j] == upper_[j]) continue;
+    double a = 0.0;
+    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+      a += rho_[row_index_[k]] * value_[k];
+    }
+    if (a != 0.0) alpha_nonzeros_.emplace_back(j, a);
+  }
 }
 
 void SimplexSolver::AuditResidual(const char* where) {
@@ -325,8 +352,9 @@ void SimplexSolver::AuditPricingWeights() {
   }
 }
 
-void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) const {
-  std::vector<double> pi(num_rows_, 0.0);
+void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) {
+  std::vector<double>& pi = pi_;
+  pi.resize(num_rows_);
   for (int i = 0; i < num_rows_; ++i) pi[i] = cost_[basis_[i]];
   Btran(pi);
   d.assign(num_cols_, 0.0);
@@ -394,10 +422,7 @@ double SimplexSolver::PhaseObjective() const {
 }
 
 LpStatus SimplexSolver::RunPhase(long max_iterations) {
-  std::vector<double> d;
-  std::vector<double> w(num_rows_);
-  std::vector<double> rho(num_rows_);
-  std::vector<double> alpha_row(num_cols_, 0.0);
+  std::vector<double>& d = d_;
   double last_objective = PhaseObjective();
 
   // Reduced costs are computed once and maintained incrementally across
@@ -432,15 +457,15 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
       dir = -1;
     }
 
-    ScatterColumn(entering, w);
-    Ftran(w);
+    FtranColumn(entering);
+    const std::vector<double>& w = w_;
 
-    // Ratio test.
+    // Ratio test (zero entries of w can never limit the step).
     double best_delta = kLpInfinity;
     int leaving_row = -1;
     double leaving_abs = 0.0;
     bool leaving_to_upper = false;
-    for (int i = 0; i < num_rows_; ++i) {
+    for (const int i : w_nonzeros_) {
       const double wi = w[i];
       if (std::abs(wi) <= options_.pivot_tol) continue;
       const int b = basis_[i];
@@ -477,9 +502,7 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
 
     // Apply the step.
     if (delta != 0.0) {
-      for (int i = 0; i < num_rows_; ++i) {
-        if (w[i] != 0.0) xval_[basis_[i]] -= dir * w[i] * delta;
-      }
+      for (const int i : w_nonzeros_) xval_[basis_[i]] -= dir * w[i] * delta;
       xval_[entering] += dir * delta;
     }
 
@@ -499,30 +522,17 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
 
       // Pivot row alpha (one BTRAN + column dots): feeds both the
       // incremental reduced-cost update and the devex weights.
-      std::fill(rho.begin(), rho.end(), 0.0);
-      rho[leaving_row] = 1.0;
-      Btran(rho);
-      for (int j = 0; j < num_cols_; ++j) {
-        alpha_row[j] = 0.0;
-        if (state_[j] == VarState::kBasic) continue;
-        double a = 0.0;
-        for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-          a += rho[row_index_[k]] * value_[k];
-        }
-        alpha_row[j] = a;
-      }
+      ComputePivotRow(leaving_row, /*skip_fixed=*/false);
       const double alpha_q = w[leaving_row];
       const double dual_step = d[entering] / alpha_q;
       if (dual_step != 0.0) {
-        for (int j = 0; j < num_cols_; ++j) {
-          if (alpha_row[j] != 0.0) d[j] -= dual_step * alpha_row[j];
-        }
+        for (const auto& [j, a] : alpha_nonzeros_) d[j] -= dual_step * a;
       }
       d[entering] = 0.0;
       d[leaving] = -dual_step;
       d_fresh = false;
       if (options_.use_devex && !use_bland_) {
-        devex_.UpdateOnPivot(alpha_row, entering, alpha_q, leaving);
+        devex_.UpdateOnPivot(alpha_nonzeros_, entering, alpha_q, leaving);
       }
 
       state_[leaving] =
@@ -707,28 +717,41 @@ bool SimplexSolver::LoadBasis(const Basis& basis) {
   return true;
 }
 
+double SimplexSolver::RowInfeasibility(int i) const {
+  const int b = basis_[i];
+  const double x = xval_[b];
+  const double lo = lower_[b];
+  const double hi = upper_[b];
+  // Selects, not branches: whether a basic variable is in bounds is too
+  // irregular to predict. Same value as testing the lower bound first.
+  const bool below = std::isfinite(lo) & (x < lo);
+  const bool above = std::isfinite(hi) & (x > hi);
+  double violation = above ? x - hi : 0.0;
+  violation = below ? lo - x : violation;
+  return violation;
+}
+
+void SimplexSolver::RecomputeRowInfeasibilities() {
+  row_infeasibility_.resize(num_rows_);
+  for (int i = 0; i < num_rows_; ++i) {
+    row_infeasibility_[i] = RowInfeasibility(i);
+  }
+}
+
 LpStatus SimplexSolver::RunDual(long max_iterations) {
-  std::vector<double> d;
-  std::vector<double> rho(num_rows_);
-  std::vector<double> alpha(num_cols_, 0.0);
-  std::vector<double> w(num_rows_);
-  std::vector<double> flip_col(num_rows_);
-  struct Candidate {
-    int j;
-    double ratio;
-    double abs_alpha;
-  };
-  std::vector<Candidate> cands;
-  std::vector<int> flips;
+  std::vector<double>& d = d_;
   double last_infeasibility = kLpInfinity;
   int consecutive_repairs = 0;
 
-  // Reduced costs are computed once and updated incrementally per pivot
-  // (d'_j = d_j - (d_q/alpha_q)*alpha_j over the already-computed alpha
-  // row); every refactorization recomputes them from scratch, which bounds
-  // the incremental drift at refactor_interval pivots.
-  ComputeReducedCosts(d);
+  // Reduced costs (verified by Reoptimize) are updated incrementally per
+  // pivot (d'_j = d_j - (d_q/alpha_q)*alpha_j over the already-computed
+  // alpha row); every refactorization recomputes them from scratch, which
+  // bounds the incremental drift at refactor_interval pivots. The rows'
+  // primal infeasibilities are likewise recomputed after a
+  // refactorization and otherwise refreshed on the rows whose basic value
+  // or basic variable changed.
   if (options_.use_steepest_edge) dse_.Reset(num_rows_);
+  RecomputeRowInfeasibilities();
 
   while (true) {
     if (iterations_ >= max_iterations) return LpStatus::kIterationLimit;
@@ -743,17 +766,11 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     double best_score = 0.0;
     double total_infeasibility = 0.0;
     for (int i = 0; i < num_rows_; ++i) {
-      const int b = basis_[i];
-      double violation = 0.0;
-      if (std::isfinite(lower_[b]) && xval_[b] < lower_[b]) {
-        violation = lower_[b] - xval_[b];
-      } else if (std::isfinite(upper_[b]) && xval_[b] > upper_[b]) {
-        violation = xval_[b] - upper_[b];
-      }
+      const double violation = row_infeasibility_[i];
       total_infeasibility += violation;
       if (violation <= options_.feasibility_tol) continue;
       if (use_bland_) {
-        if (r < 0 || b < basis_[r]) r = i;
+        if (r < 0 || basis_[i] < basis_[r]) r = i;
       } else {
         const double score = options_.use_steepest_edge
                                  ? dse_.Score(i, violation)
@@ -788,29 +805,19 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
 
     // Row r of B^{-1}A: alpha_j = rho·a_j with rho = B^{-T} e_r. The full
     // row (not just the eligible candidates) feeds the post-pivot update.
-    std::fill(rho.begin(), rho.end(), 0.0);
-    rho[r] = 1.0;
-    Btran(rho);
+    ComputePivotRow(r, /*skip_fixed=*/true);
 
     // Dual ratio test. Short step (Bland, or bound flips disabled): the
     // entering column minimizes |d_j|/|alpha_j| among the sign-eligible
     // nonbasics. Long step: collect every eligible breakpoint instead and
     // walk them below.
     const bool long_step = options_.use_bound_flips && !use_bland_;
-    cands.clear();
+    breakpoints_.clear();
     int entering = -1;
     double best_ratio = kLpInfinity;
     double best_alpha = 0.0;
     double entering_alpha = 0.0;
-    for (int j = 0; j < num_cols_; ++j) {
-      alpha[j] = 0.0;
-      if (state_[j] == VarState::kBasic) continue;
-      if (lower_[j] == upper_[j]) continue;  // fixed: cannot move
-      double a = 0.0;
-      for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-        a += rho[row_index_[k]] * value_[k];
-      }
-      alpha[j] = a;
+    for (const auto& [j, a] : alpha_nonzeros_) {
       if (std::abs(a) <= options_.pivot_tol) continue;
       // The entering step is theta = infeas / alpha; its sign must move the
       // entering variable off its bound in a feasible direction.
@@ -832,7 +839,7 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
       }
       const double ratio = numerator / std::abs(a);
       if (long_step) {
-        cands.push_back({j, ratio, std::abs(a)});
+        breakpoints_.push_back({j, ratio, a});
         continue;
       }
       const bool better =
@@ -854,30 +861,37 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     // |alpha|·span; the first breakpoint the remaining slope cannot pass
     // enters the basis. The entering ratio bounds every flipped ratio, so
     // all flipped reduced costs change sign consistently with their new
-    // bound once the pivot's dual step is applied.
-    flips.clear();
+    // bound once the pivot's dual step is applied. Breakpoints are visited
+    // in ascending (ratio, -|alpha|, j) order by selecting the next minimum
+    // as the walk goes; it nearly always stops at the first one.
+    flips_.clear();
     if (long_step) {
-      std::sort(cands.begin(), cands.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                  if (a.abs_alpha != b.abs_alpha) {
-                    return a.abs_alpha > b.abs_alpha;
-                  }
-                  return a.j < b.j;
-                });
+      const auto precedes = [](const Breakpoint& a, const Breakpoint& b) {
+        if (a.ratio != b.ratio) return a.ratio < b.ratio;
+        const double abs_a = std::abs(a.alpha), abs_b = std::abs(b.alpha);
+        if (abs_a != abs_b) return abs_a > abs_b;
+        return a.j < b.j;
+      };
       double slope = std::abs(infeas);
-      for (const Candidate& cand : cands) {
+      for (size_t next = 0; next < breakpoints_.size(); ++next) {
+        size_t best = next;
+        for (size_t k = next + 1; k < breakpoints_.size(); ++k) {
+          if (precedes(breakpoints_[k], breakpoints_[best])) best = k;
+        }
+        std::swap(breakpoints_[next], breakpoints_[best]);
+        const Breakpoint& cand = breakpoints_[next];
         const int j = cand.j;
         const bool boxed =
             std::isfinite(lower_[j]) && std::isfinite(upper_[j]);
-        const double gain =
-            boxed ? (upper_[j] - lower_[j]) * cand.abs_alpha : kLpInfinity;
+        const double gain = boxed ? (upper_[j] - lower_[j]) *
+                                        std::abs(cand.alpha)
+                                  : kLpInfinity;
         if (!boxed || slope - gain <= options_.feasibility_tol) {
           entering = j;
-          entering_alpha = alpha[j];
+          entering_alpha = cand.alpha;
           break;
         }
-        flips.push_back(j);
+        flips_.push_back(j);
         slope -= gain;
       }
     }
@@ -892,8 +906,8 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
 
     // FTRAN the entering column and cross-check the pivot against the
     // BTRAN row *before* any state changes, so a repair retries cleanly.
-    ScatterColumn(entering, w);
-    Ftran(w);
+    FtranColumn(entering);
+    const std::vector<double>& w = w_;
     if (std::abs(w[r]) <= options_.pivot_tol ||
         std::abs(w[r] - entering_alpha) >
             0.5 * std::abs(w[r]) + options_.feasibility_tol) {
@@ -904,28 +918,32 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
         return LpStatus::kNumericalFailure;
       }
       ComputeReducedCosts(d);  // fresh factorization: re-price from scratch
+      RecomputeRowInfeasibilities();
       continue;
     }
     consecutive_repairs = 0;
 
     // Apply the harvested bound flips: nonbasics jump across their box in
     // bulk, the basics absorb the combined column delta via one FTRAN.
-    if (!flips.empty()) {
-      std::fill(flip_col.begin(), flip_col.end(), 0.0);
-      for (int j : flips) {
+    if (!flips_.empty()) {
+      flip_col_.assign(num_rows_, 0.0);
+      for (int j : flips_) {
         const bool to_upper = state_[j] == VarState::kAtLower;
         const double delta =
             to_upper ? upper_[j] - lower_[j] : lower_[j] - upper_[j];
         state_[j] = to_upper ? VarState::kAtUpper : VarState::kAtLower;
         xval_[j] = to_upper ? upper_[j] : lower_[j];
         for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-          flip_col[row_index_[k]] += value_[k] * delta;
+          flip_col_[row_index_[k]] += value_[k] * delta;
         }
         ++bound_flips_;
       }
-      Ftran(flip_col);
+      Ftran(flip_col_);
       for (int i = 0; i < num_rows_; ++i) {
-        if (flip_col[i] != 0.0) xval_[basis_[i]] -= flip_col[i];
+        if (flip_col_[i] != 0.0) {
+          xval_[basis_[i]] -= flip_col_[i];
+          row_infeasibility_[i] = RowInfeasibility(i);
+        }
       }
       // The leaving variable's violation shrank by the flipped mass; a
       // numerically crossed sign degrades to a degenerate pivot.
@@ -934,9 +952,12 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
       if (below ? infeas > 0 : infeas < 0) infeas = 0;
     }
 
+    // Basic values move on w's nonzeros, and so do their infeasibilities;
+    // row r is refreshed again once the entering variable is basic there.
     const double theta = infeas / w[r];
-    for (int i = 0; i < num_rows_; ++i) {
-      if (w[i] != 0.0) xval_[basis_[i]] -= theta * w[i];
+    for (const int i : w_nonzeros_) {
+      xval_[basis_[i]] -= theta * w[i];
+      row_infeasibility_[i] = RowInfeasibility(i);
     }
     xval_[entering] += theta;
     xval_[leaving] = below ? lower_[leaving] : upper_[leaving];
@@ -947,25 +968,27 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     // picks up -dual_step, everything else shifts by dual_step * alpha_j.
     const double dual_step = d[entering] / entering_alpha;
     if (dual_step != 0.0) {
-      for (int j = 0; j < num_cols_; ++j) {
-        if (alpha[j] != 0.0) d[j] -= dual_step * alpha[j];
-      }
+      for (const auto& [j, a] : alpha_nonzeros_) d[j] -= dual_step * a;
     }
     d[entering] = 0.0;
     d[leaving] = -dual_step;
 
     if (options_.use_steepest_edge && !use_bland_) {
-      dse_.UpdateOnPivot(w, r, w[r]);
+      dse_.UpdateOnPivot(w, w_nonzeros_, r, w[r]);
     }
 
     state_[entering] = VarState::kBasic;
     basis_[r] = entering;
+    row_infeasibility_[r] = RowInfeasibility(r);
 
     bool refactorized = false;
     if (!UpdateFactorization(entering, r, refactorized)) {
       return LpStatus::kNumericalFailure;
     }
-    if (refactorized) ComputeReducedCosts(d);
+    if (refactorized) {
+      ComputeReducedCosts(d);
+      RecomputeRowInfeasibilities();
+    }
     ++iterations_;
   }
 }
@@ -1018,7 +1041,7 @@ LpResult SimplexSolver::Reoptimize() {
   // basis is one (bound changes leave reduced costs untouched), but verify
   // within a loosened tolerance so a drifted snapshot falls back cold
   // instead of "proving" a wrong infeasibility.
-  std::vector<double> d;
+  std::vector<double>& d = d_;
   ComputeReducedCosts(d);
   const double dual_tol = 10.0 * options_.optimality_tol;
   for (int j = 0; j < num_cols_; ++j) {

@@ -255,7 +255,6 @@ class SimplexSolver {
   // --- linear algebra over the LU factorization --------------------------
   void Ftran(std::vector<double>& w) const;  // w := B^{-1} w
   void Btran(std::vector<double>& v) const;  // v := B^{-T} v
-  void ScatterColumn(int j, std::vector<double>& out) const;
   bool Refactorize();
   void RecomputeBasicValues();
   /// Forrest–Tomlin update for "entering replaces position `row`", with
@@ -277,12 +276,26 @@ class SimplexSolver {
   double PrimalViolation(int j, double dj) const;
   int PricePrimal(const std::vector<double>& d) const;
   int PriceBland(const std::vector<double>& d) const;
-  void ComputeReducedCosts(std::vector<double>& d) const;
+  void ComputeReducedCosts(std::vector<double>& d);
 
   // --- iteration loops ---------------------------------------------------
   LpStatus RunPhase(long max_iterations);
   double PhaseObjective() const;
+  /// Dual loop from the loaded basis; d_ must hold the reduced costs that
+  /// Reoptimize() just verified.
   LpStatus RunDual(long max_iterations);
+  /// Primal infeasibility of the basic variable in row i (0 when within
+  /// its bounds); the dual loop keeps row_infeasibility_ equal to it.
+  double RowInfeasibility(int i) const;
+  void RecomputeRowInfeasibilities();
+  /// FTRANs CSC column j into w_ and lists its nonzero positions in
+  /// w_nonzeros_ (ascending).
+  void FtranColumn(int j);
+  /// Pivot row r of B⁻¹A: BTRANs e_r into rho_, then records alpha_j =
+  /// rho_·a_j over the nonbasic columns (skipping fixed ones when
+  /// `skip_fixed`) in alpha_nonzeros_ as the (j, alpha_j) pairs with
+  /// alpha_j != 0, ascending j.
+  void ComputePivotRow(int r, bool skip_fixed);
 
   long MaxIterations() const;
 
@@ -335,6 +348,25 @@ class SimplexSolver {
   long audits_run_reported_ = 0;
   long audit_failures_reported_ = 0;
   int ft_updates_since_audit_ = 0;
+
+  // --- pivot-loop buffers, reused across pivots and solves ---------------
+  std::vector<double> d_;          // reduced costs of the running loop
+  std::vector<double> pi_;         // ComputeReducedCosts multipliers
+  std::vector<double> basic_rhs_;  // RecomputeBasicValues right-hand side
+  std::vector<double> rho_;        // B⁻ᵀe_r (row space)
+  std::vector<double> w_;          // B⁻¹a_q (position space)
+  std::vector<int> w_nonzeros_;    // i with w_[i] != 0, ascending
+  /// (j, alpha_j) for every alpha_j != 0 of the last pivot row, ascending j.
+  std::vector<std::pair<int, double>> alpha_nonzeros_;
+  std::vector<double> flip_col_;
+  std::vector<double> row_infeasibility_;  // RunDual: RowInfeasibility(i)
+  struct Breakpoint {  // long-step dual ratio test
+    int j;
+    double ratio;
+    double alpha;
+  };
+  std::vector<Breakpoint> breakpoints_;
+  std::vector<int> flips_;
 };
 
 /// Solves the LP relaxation of `model` (integrality flags ignored) with a

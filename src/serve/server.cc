@@ -6,6 +6,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -20,6 +21,11 @@
 
 namespace vpart {
 namespace {
+
+/// Longest one reply write may wait for the peer to make room. A client
+/// that leaves its receive buffer full this long is dropped, so it cannot
+/// hold a worker, its connection's write lock, or Shutdown() hostage.
+constexpr timeval kReplySendDeadline = {0, 500 * 1000};
 
 Counter& RequestsTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
@@ -204,6 +210,8 @@ void AdviseServer::AcceptLoop() {
       return;
     }
     ReapFinishedReadersLocked();
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kReplySendDeadline,
+                       sizeof(kReplySendDeadline));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->id = next_connection_id_++;
@@ -442,13 +450,20 @@ void AdviseServer::Reply(uint64_t connection_id, const JsonValue& document) {
 void AdviseServer::ReplyOn(Connection& conn, const JsonValue& document) {
   std::lock_guard<std::mutex> lock(conn.write_mu);
   if (conn.closed || conn.fd < 0) return;
-  // Write failures (peer hung up mid-reply) are dropped: the reader loop
-  // notices the close and tears the connection down.
-  (void)WriteFrame(conn.fd, document.Serialize());
+  // A failed write (the peer hung up, or kept its buffer full past the send
+  // deadline) may have left a partial frame, so the connection is closed:
+  // the reader wakes and tears it down.
+  if (!WriteFrame(conn.fd, document.Serialize()).ok()) {
+    CloseConnectionLocked(conn);
+  }
 }
 
 void AdviseServer::CloseConnection(Connection& conn) {
   std::lock_guard<std::mutex> lock(conn.write_mu);
+  CloseConnectionLocked(conn);
+}
+
+void AdviseServer::CloseConnectionLocked(Connection& conn) {
   if (conn.closed) return;
   conn.closed = true;
   // Wakes a reader blocked in recv(); the fd itself is closed only after

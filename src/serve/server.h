@@ -108,6 +108,7 @@ class AdviseServer {
   void Reply(uint64_t connection_id, const JsonValue& document);
   static void ReplyOn(Connection& conn, const JsonValue& document);
   static void CloseConnection(Connection& conn);
+  static void CloseConnectionLocked(Connection& conn);  // caller holds write_mu
   void ReapFinishedReadersLocked();
 
   AdviseServerOptions options_;

@@ -4,11 +4,14 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -368,6 +371,85 @@ TEST(ServeTest, QueueWaitBeyondDeadlineGetsTypedDeadlineError) {
   }
   EXPECT_TRUE(saw_deadline);
   server.Shutdown();
+}
+
+// A client that pipelines requests and never reads its replies fills its
+// socket buffer. The daemon must drop it once a reply write passes the send
+// deadline, instead of blocking workers (and then Shutdown()) on it.
+TEST(ServeTest, ClientThatNeverReadsIsDroppedWithoutWedging) {
+  AdviseServerOptions options;
+  options.socket_path = SocketPath("noread");
+  options.num_workers = 2;
+  AdviseServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string request =
+      MakeRequest(InstanceText(10), "ilp", 5, "hot").Serialize();
+  {
+    // Prime the cache so the flood below is answered at exact-hit speed.
+    StatusOr<ServeClient> primer = ServeClient::Connect(options.socket_path);
+    ASSERT_TRUE(primer.ok());
+    ASSERT_TRUE(primer->Roundtrip(request).ok());
+  }
+
+  const int flooder = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(flooder, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size());
+  ASSERT_EQ(::connect(flooder, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // Pipeline until the daemon stops reading (its replies back up) or
+  // drops the connection; never read a reply.
+  const timeval send_timeout = {0, 100 * 1000};
+  ASSERT_EQ(::setsockopt(flooder, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                         sizeof(send_timeout)),
+            0);
+  int sent = 0;
+  while (sent < 20000 && WriteFrame(flooder, request).ok()) ++sent;
+  EXPECT_GT(sent, 100);
+
+  // A well-behaved client is still answered (retrying while the flood's
+  // queued requests shed it as overloaded).
+  std::future<std::string> answer = std::async(std::launch::async, [&] {
+    StatusOr<ServeClient> client = ServeClient::Connect(options.socket_path);
+    if (!client.ok()) return client.status().ToString();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (true) {
+      StatusOr<std::string> response = client->Roundtrip(request);
+      if (!response.ok()) return response.status().ToString();
+      if (ErrorCodeOf(MustParse(*response)) != "overloaded" ||
+          std::chrono::steady_clock::now() > give_up) {
+        return *response;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+  const bool answered = answer.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(answered) << "second client starved";
+
+  // The flooder was hung up on.
+  pollfd hangup{flooder, POLLRDHUP, 0};
+  EXPECT_EQ(::poll(&hangup, 1, 5000), 1);
+  EXPECT_NE(hangup.revents & (POLLHUP | POLLRDHUP), 0);
+
+  std::future<void> shutdown =
+      std::async(std::launch::async, [&] { server.Shutdown(); });
+  EXPECT_EQ(shutdown.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready)
+      << "Shutdown() blocked on the flooding client";
+  // Unwedge a failing daemon so the test ends either way.
+  ::close(flooder);
+  shutdown.wait();
+  if (answered) {
+    const std::string response = answer.get();
+    JsonValue doc = MustParse(response);
+    EXPECT_EQ(doc.Find("error"), nullptr) << response;
+    EXPECT_EQ(CacheKindOf(doc), "exact") << response;
+  }
 }
 
 TEST(ServeTest, ShutdownIsCleanAndIdempotent) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/advise.h"
 #include "cost/cost_model.h"
 #include "instances/tpcc.h"
 #include "solver/attribute_groups.h"
@@ -97,6 +98,40 @@ TEST_F(TpccGoldenTest, IlpAgreesWithGoldenOptimum) {
   EXPECT_DOUBLE_EQ(
       full.Objective(grouping_.ExpandPartitioning(*result.partitioning)),
       kThreeSiteCost);
+}
+
+// The exact pivot path of the request-level ILP proofs. The LP kernels
+// must do the same floating-point operations in the same order, so a
+// kernel change that reorders any of them (and with it a pivot choice, a
+// refactorization trigger or a branching decision) moves these counts even
+// when the optimum stays put. They match in Release and in a Debug
+// ASan+UBSan build.
+TEST_F(TpccGoldenTest, IlpProofPivotPathIsPinned) {
+  struct Expected {
+    int sites;
+    double cost;
+    long nodes;
+    long pivots;
+    long factorizations;
+  };
+  for (const Expected& expected :
+       {Expected{3, kThreeSiteCost, 17, 1093, 18},
+        Expected{4, kFourSiteCost, 53, 2415, 40}}) {
+    AdviseRequest request;
+    request.solver = "ilp";
+    request.num_sites = expected.sites;
+    request.certify = true;
+    StatusOr<AdviseResponse> response = Advise(instance_, request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->result.proven_optimal);
+    EXPECT_EQ(response->result.cost, expected.cost);
+    EXPECT_EQ(response->bnb_nodes, expected.nodes)
+        << expected.sites << " sites";
+    EXPECT_EQ(response->lp_stats.total_iterations(), expected.pivots)
+        << expected.sites << " sites";
+    EXPECT_EQ(response->lp_stats.factorizations, expected.factorizations)
+        << expected.sites << " sites";
+  }
 }
 
 TEST_F(TpccGoldenTest, PaperStructureOfTheThreeSiteOptimum) {
