@@ -32,7 +32,7 @@ void FoldLpStatsIntoMetrics(const LpSolveStats& stats) {
   static Counter& cold = registry.GetCounter(
       "vpart_lp_cold_starts_total", "Node LPs solved from scratch");
   static Counter& iterations = registry.GetCounter(
-      "vpart_lp_iterations_total", "Simplex pivots (primal+phase1+dual)");
+      "vpart_lp_iterations_total", "Simplex pivots (primal+dual)");
   static Counter& factorizations = registry.GetCounter(
       "vpart_lp_factorizations_total", "Basis factorizations from scratch");
   static Counter& ft_updates = registry.GetCounter(
@@ -42,8 +42,7 @@ void FoldLpStatsIntoMetrics(const LpSolveStats& stats) {
   lp_solves.Add(stats.lp_solves);
   warm.Add(stats.warm_starts);
   cold.Add(stats.cold_starts);
-  iterations.Add(stats.primal_iterations + stats.phase1_iterations +
-                 stats.dual_iterations);
+  iterations.Add(stats.total_iterations());
   factorizations.Add(stats.factorizations);
   ft_updates.Add(stats.ft_updates);
   lp_micros.Add(static_cast<long>(stats.lp_seconds * 1e6));
@@ -67,42 +66,6 @@ const char* AdviseOutcomeName(AdviseOutcome outcome) {
       return "cancelled";
   }
   return "unknown";
-}
-
-const char* SolverNameForAlgorithm(AdvisorOptions::Algorithm algorithm) {
-  using Algorithm = AdvisorOptions::Algorithm;
-  switch (algorithm) {
-    case Algorithm::kAuto:
-      return kSolverAuto;
-    case Algorithm::kIlp:
-      return kSolverIlp;
-    case Algorithm::kSa:
-      return kSolverSa;
-    case Algorithm::kExhaustive:
-      return kSolverExhaustive;
-    case Algorithm::kIncremental:
-      return kSolverIncremental;
-    case Algorithm::kPortfolio:
-      return kSolverPortfolio;
-  }
-  return kSolverAuto;
-}
-
-AdviseRequest FromAdvisorOptions(const AdvisorOptions& options) {
-  AdviseRequest request;
-  request.solver = SolverNameForAlgorithm(options.algorithm);
-  request.num_sites = options.num_sites;
-  request.num_threads = options.num_threads;
-  request.cost = options.cost;
-  request.cost_model = options.cost_model;
-  request.allow_replication = options.allow_replication;
-  request.use_attribute_grouping = options.use_attribute_grouping;
-  request.latency_penalty = options.latency_penalty;
-  request.time_limit_seconds = options.time_limit_seconds;
-  request.seed = options.seed;
-  request.ilp.mip_gap = options.mip_gap;
-  request.sa.max_restarts = options.sa_max_restarts;
-  return request;
 }
 
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,

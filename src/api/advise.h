@@ -45,7 +45,6 @@ struct WarmSeed {
 
 /// Typed per-solver option blocks. Each block only applies when the named
 /// solver (or the portfolio racing it) runs; unrelated blocks are ignored.
-/// The flat legacy AdvisorOptions maps onto these via FromAdvisorOptions.
 
 struct IlpRequestOptions {
   /// Stop when (incumbent - bound)/|incumbent| falls below this (the
@@ -230,14 +229,6 @@ StatusOr<AdviseResponse> Advise(const Instance& instance,
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,
                                          const AdviseHooks& hooks);
-
-/// Maps the flat legacy options onto a request (algorithm enum -> registry
-/// name, sa_max_restarts -> sa block, mip_gap -> ilp block, ...). The
-/// legacy AdvisePartitioning() is exactly Advise() over this conversion.
-AdviseRequest FromAdvisorOptions(const AdvisorOptions& options);
-
-/// Registry name for a legacy algorithm enum ("auto" for kAuto).
-const char* SolverNameForAlgorithm(AdvisorOptions::Algorithm algorithm);
 
 }  // namespace vpart
 

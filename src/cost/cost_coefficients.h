@@ -145,9 +145,8 @@ class CostCoefficients {
   CostCoefficients(const CostCoefficients& other, std::string backend);
 
   /// Assembles c1..c4 from two weight functors, which inline into the
-  /// shared loop, so the pluggable path costs the same as the historical
-  /// hand-written constructor (pinned <2% by bench_parallel
-  /// --cost-model):
+  /// shared loop, so the pluggable path costs the same as a hand-written
+  /// constructor (perfbench's cost.build_ms times it):
   ///
   ///   access(a, q)   storage-layer units query q pays for attribute a
   ///                  (the β side; a ranges over all attributes of tables
@@ -157,12 +156,13 @@ class CostCoefficients {
   ///
   /// noinline is load-bearing: inlined into a constructor, the loop
   /// shares register allocation with the ctor's string/shared_ptr/EH
-  /// state and GCC spills the hot index values (~15% slower); in its own
-  /// frame the codegen matches the pre-interface constructor.
+  /// state and GCC spills the hot index values; in its own frame the
+  /// codegen matches the pre-interface constructor.
   ///
   /// The float operations and their order match the original concrete
   /// CostModel exactly, so a backend whose functors return the paper's
-  /// W_{a,q} produces bit-for-bit identical coefficients.
+  /// W_{a,q} produces bit-for-bit identical coefficients
+  /// (PaperBackendParityTest.CoefficientsMatchDirectPathBitForBit).
   template <typename AccessFn, typename TransferFn>
 #if defined(__GNUC__)
   __attribute__((noinline))
@@ -178,8 +178,7 @@ class CostCoefficients {
     // Member-style accesses on purpose: everything rematerializes from
     // `this`, which keeps register pressure low — hoisting the table
     // pointers into locals makes GCC spill them to the stack in the
-    // inner loop and costs ~15% (bench_parallel --cost-model pins this
-    // loop within 2% of the pre-interface constructor it replaced).
+    // inner loop.
     const Workload& workload = instance_->workload();
     for (int q = 0; q < instance_->num_queries(); ++q) {
       const Query& query = workload.query(q);

@@ -100,14 +100,6 @@ double TransactionWeight(const Instance& instance, int t) {
 }  // namespace
 
 StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
-                                          const BatchAdvisorOptions& options) {
-  BatchAdviseRequest batch;
-  batch.request = FromAdvisorOptions(options.advisor);
-  batch.table_threads = options.num_threads;
-  return AdviseSchema(instance, batch);
-}
-
-StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
                                           const BatchAdviseRequest& batch) {
   const AdviseRequest& request = batch.request;
   if (request.num_sites < 1) {

@@ -55,7 +55,8 @@ struct MipOptions {
   /// primal from a cold start (see lp/simplex.h). The fallback ladder —
   /// dual reoptimize, cold primal, cold primal with tight refactorization —
   /// makes this safe to leave on; disable only to measure the cold
-  /// baseline (bench_parallel --mip-core does).
+  /// baseline (TpccGoldenTest.IlpWarmStartProvesTheSameOptimumInHalfThePivots
+  /// does).
   bool use_warm_start = true;
   /// Optional warm-start incumbent (full variable assignment). Checked for
   /// feasibility; ignored if infeasible.

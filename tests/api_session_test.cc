@@ -16,7 +16,6 @@
 #include "cost/partitioning.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
-#include "solver/advisor.h"
 #include "workload/instance.h"
 
 namespace vpart {
@@ -78,14 +77,6 @@ TEST(AdviseSessionTest, RunsToCompletionWithEventStream) {
   EXPECT_EQ(events.back().phase, "done");
   EXPECT_DOUBLE_EQ(events.back().best_cost, response->result.cost);
   ASSERT_TRUE(session.BestIncumbent().has_value());
-
-  // The session and the legacy shim agree: same pipeline underneath.
-  AdvisorOptions legacy;
-  legacy.num_sites = 3;
-  auto shim = AdvisePartitioning(tpcc, legacy);
-  ASSERT_TRUE(shim.ok());
-  EXPECT_DOUBLE_EQ(shim->cost, response->result.cost);
-  EXPECT_EQ(shim->algorithm_used, response->result.algorithm_used);
 }
 
 TEST(AdviseSessionTest, ProgressEventSeqIsDenseAndOrdered) {
@@ -359,25 +350,6 @@ TEST(AdviseApiTest, AutoWithLatencyAndThreadsSurfacesTheDowngrade) {
   EXPECT_NE(response->warnings.front().find("latency_penalty"),
             std::string::npos);
   EXPECT_GT(response->result.latency_cost, -1.0);  // computed (>= 0)
-}
-
-TEST(AdviseApiTest, LegacyOptionsMapOntoRequestBlocks) {
-  AdvisorOptions options;
-  options.num_sites = 4;
-  options.num_threads = 3;
-  options.algorithm = AdvisorOptions::Algorithm::kPortfolio;
-  options.mip_gap = 0.02;
-  options.sa_max_restarts = 11;
-  options.latency_penalty = 0.5;
-  options.seed = 99;
-  const AdviseRequest request = FromAdvisorOptions(options);
-  EXPECT_EQ(request.solver, kSolverPortfolio);
-  EXPECT_EQ(request.num_sites, 4);
-  EXPECT_EQ(request.num_threads, 3);
-  EXPECT_DOUBLE_EQ(request.ilp.mip_gap, 0.02);
-  EXPECT_EQ(request.sa.max_restarts, 11);
-  EXPECT_DOUBLE_EQ(request.latency_penalty, 0.5);
-  EXPECT_EQ(request.seed, 99u);
 }
 
 TEST(AdviseApiTest, InvalidRequestsAreRejected) {

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "api/advise.h"
+#include "api/solver_registry.h"
 #include "cost/cost_model.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
-#include "solver/advisor.h"
 #include "solver/incremental_solver.h"
 
 namespace vpart {
@@ -61,26 +62,28 @@ TEST(IncrementalSolverTest, ComparableToPlainSa) {
 TEST(AdvisorTest, TpccReductionMatchesPaperBallpark) {
   // The paper's headline: ~37% cost reduction on TPC-C with 2-3 sites.
   Instance instance = MakeTpccInstance();
-  AdvisorOptions options;
-  options.num_sites = 3;
-  options.cost = {.p = 8, .lambda = 0.1};
-  options.seed = 1;
-  auto result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(ValidatePartitioning(instance, result->partitioning).ok());
-  EXPECT_GT(result->reduction_percent, 20);
-  EXPECT_LT(result->reduction_percent, 60);
-  EXPECT_GT(result->single_site_cost, 0);
+  AdviseRequest request;
+  request.num_sites = 3;
+  request.cost = {.p = 8, .lambda = 0.1};
+  request.seed = 1;
+  auto response = Advise(instance, request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  const AdvisorResult& result = response->result;
+  EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok());
+  EXPECT_GT(result.reduction_percent, 20);
+  EXPECT_LT(result.reduction_percent, 60);
+  EXPECT_GT(result.single_site_cost, 0);
 }
 
 TEST(AdvisorTest, AlgorithmSelectionAuto) {
   Instance instance = MakeTpccInstance();  // |T| = 5 -> exhaustive
-  AdvisorOptions options;
-  options.num_sites = 2;
-  auto result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NE(result->algorithm_used.find("exhaustive"), std::string::npos);
-  EXPECT_NE(result->algorithm_used.find("groups"), std::string::npos);
+  AdviseRequest request;
+  request.num_sites = 2;
+  auto response = Advise(instance, request);
+  ASSERT_TRUE(response.ok());
+  const std::string& algorithm = response->result.algorithm_used;
+  EXPECT_NE(algorithm.find("exhaustive"), std::string::npos);
+  EXPECT_NE(algorithm.find("groups"), std::string::npos);
 }
 
 TEST(AdvisorTest, LargeInstanceFallsBackToSa) {
@@ -89,12 +92,12 @@ TEST(AdvisorTest, LargeInstanceFallsBackToSa) {
   params.num_tables = 30;
   params.seed = 8;
   Instance instance = MakeRandomInstance(params);
-  AdvisorOptions options;
-  options.num_sites = 2;
-  options.time_limit_seconds = 3;
-  auto result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NE(result->algorithm_used.find("sa"), std::string::npos);
+  AdviseRequest request;
+  request.num_sites = 2;
+  request.time_limit_seconds = 3;
+  auto response = Advise(instance, request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_NE(response->result.algorithm_used.find("sa"), std::string::npos);
 }
 
 TEST(AdvisorTest, ExplicitAlgorithmsAllWork) {
@@ -103,45 +106,45 @@ TEST(AdvisorTest, ExplicitAlgorithmsAllWork) {
   params.num_tables = 4;
   params.seed = 9;
   Instance instance = MakeRandomInstance(params);
-  for (auto algorithm :
-       {AdvisorOptions::Algorithm::kExhaustive, AdvisorOptions::Algorithm::kSa,
-        AdvisorOptions::Algorithm::kIlp,
-        AdvisorOptions::Algorithm::kIncremental}) {
-    AdvisorOptions options;
-    options.num_sites = 2;
-    options.algorithm = algorithm;
-    options.time_limit_seconds = 10;
-    auto result = AdvisePartitioning(instance, options);
-    ASSERT_TRUE(result.ok()) << static_cast<int>(algorithm);
-    EXPECT_TRUE(ValidatePartitioning(instance, result->partitioning).ok());
+  for (const char* solver :
+       {kSolverExhaustive, kSolverSa, kSolverIlp, kSolverIncremental}) {
+    AdviseRequest request;
+    request.num_sites = 2;
+    request.solver = solver;
+    request.time_limit_seconds = 10;
+    auto response = Advise(instance, request);
+    ASSERT_TRUE(response.ok()) << solver;
+    EXPECT_TRUE(
+        ValidatePartitioning(instance, response->result.partitioning).ok());
   }
 }
 
 TEST(AdvisorTest, DisjointModeRespected) {
   Instance instance = MakeTpccInstance();
-  AdvisorOptions options;
-  options.num_sites = 2;
-  options.allow_replication = false;
-  auto result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok());
+  AdviseRequest request;
+  request.num_sites = 2;
+  request.allow_replication = false;
+  auto response = Advise(instance, request);
+  ASSERT_TRUE(response.ok());
   EXPECT_TRUE(
-      ValidatePartitioning(instance, result->partitioning, true).ok());
+      ValidatePartitioning(instance, response->result.partitioning, true)
+          .ok());
 }
 
 TEST(AdvisorTest, RejectsBadSiteCount) {
   Instance instance = MakeTpccInstance();
-  AdvisorOptions options;
-  options.num_sites = 0;
-  EXPECT_FALSE(AdvisePartitioning(instance, options).ok());
+  AdviseRequest request;
+  request.num_sites = 0;
+  EXPECT_FALSE(Advise(instance, request).ok());
 }
 
 TEST(AdvisorTest, SingleSiteReductionIsZero) {
   Instance instance = MakeTpccInstance();
-  AdvisorOptions options;
-  options.num_sites = 1;
-  auto result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->reduction_percent, 0, 1e-9);
+  AdviseRequest request;
+  request.num_sites = 1;
+  auto response = Advise(instance, request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_NEAR(response->result.reduction_percent, 0, 1e-9);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "api/advise.h"
+#include "api/solver_registry.h"
 #include "instances/tpcc.h"
 #include "report/instance_report.h"
-#include "solver/advisor.h"
 #include "solver/latency.h"
 
 namespace vpart {
@@ -41,27 +42,28 @@ TEST(AdvisorLatencyTest, LatencyPenaltyIsReportedAndReduced) {
   // Small instance solved via the ILP path with and without the latency
   // extension: the latency-aware solve must not be more latency-exposed.
   Instance tpcc = MakeTpccInstance();
-  AdvisorOptions plain;
+  AdviseRequest plain;
   plain.num_sites = 2;
-  plain.algorithm = AdvisorOptions::Algorithm::kIlp;
+  plain.solver = kSolverIlp;
   plain.time_limit_seconds = 20;
-  auto base = AdvisePartitioning(tpcc, plain);
+  auto base = Advise(tpcc, plain);
   ASSERT_TRUE(base.ok()) << base.status();
-  EXPECT_DOUBLE_EQ(base->latency_cost, 0.0);  // not requested
+  EXPECT_DOUBLE_EQ(base->result.latency_cost, 0.0);  // not requested
 
-  AdvisorOptions with_latency = plain;
+  AdviseRequest with_latency = plain;
   // A large penalty (about 10% of total cost per hot query) forces the
   // solver to trade some replication for latency.
   with_latency.latency_penalty = 2000.0;
-  auto aware = AdvisePartitioning(tpcc, with_latency);
+  auto aware = Advise(tpcc, with_latency);
   ASSERT_TRUE(aware.ok()) << aware.status();
-  const double base_exposure =
-      LatencyCost(tpcc, base->partitioning, with_latency.latency_penalty);
-  EXPECT_LE(aware->latency_cost, base_exposure + 1e-9);
+  const double base_exposure = LatencyCost(
+      tpcc, base->result.partitioning, with_latency.latency_penalty);
+  EXPECT_LE(aware->result.latency_cost, base_exposure + 1e-9);
   // Total (cost + latency) of the aware solve must not exceed the base
   // solve's total: the base layout stays in the feasible set.
-  EXPECT_LE(aware->cost + aware->latency_cost,
-            base->cost + base_exposure + 1e-6 * (1 + base->cost));
+  EXPECT_LE(aware->result.cost + aware->result.latency_cost,
+            base->result.cost + base_exposure +
+                1e-6 * (1 + base->result.cost));
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 
+#include "api/advise.h"
 #include "cost/partitioning_io.h"
 #include "instances/tpcc.h"
-#include "solver/advisor.h"
 
 namespace vpart {
 namespace {
@@ -13,11 +13,11 @@ class PartitioningIoFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     instance_ = MakeTpccInstance();
-    AdvisorOptions options;
-    options.num_sites = 3;
-    auto result = AdvisePartitioning(instance_, options);
-    ASSERT_TRUE(result.ok());
-    partitioning_ = result->partitioning;
+    AdviseRequest request;
+    request.num_sites = 3;
+    auto response = Advise(instance_, request);
+    ASSERT_TRUE(response.ok());
+    partitioning_ = response->result.partitioning;
   }
 
   Instance instance_;

@@ -3,11 +3,12 @@
 #include <atomic>
 #include <cmath>
 
+#include "api/advise.h"
+#include "api/solver_registry.h"
 #include "cost/cost_model.h"
 #include "engine/portfolio.h"
 #include "instances/random_instance.h"
 #include "mip/branch_and_bound.h"
-#include "solver/advisor.h"
 #include "solver/exhaustive_solver.h"
 #include "solver/ilp_solver.h"
 #include "util/rng.h"
@@ -73,26 +74,29 @@ TEST(PortfolioTest, ProvesExhaustiveOptimumOnSmallInstances) {
 
 TEST(PortfolioTest, AdvisorRoutesThroughThePortfolio) {
   Instance instance = MakeRandomInstance(SmallParams(21));
-  AdvisorOptions options;
-  options.num_sites = 2;
-  options.algorithm = AdvisorOptions::Algorithm::kPortfolio;
-  options.num_threads = 2;
-  options.time_limit_seconds = 5.0;
-  StatusOr<AdvisorResult> result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result->algorithm_used.find("portfolio"), std::string::npos);
-  EXPECT_LE(result->cost, result->single_site_cost + 1e-9);
+  AdviseRequest request;
+  request.num_sites = 2;
+  request.solver = kSolverPortfolio;
+  request.num_threads = 2;
+  request.time_limit_seconds = 5.0;
+  StatusOr<AdviseResponse> response = Advise(instance, request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_NE(response->result.algorithm_used.find("portfolio"),
+            std::string::npos);
+  EXPECT_LE(response->result.cost,
+            response->result.single_site_cost + 1e-9);
 }
 
 TEST(PortfolioTest, AutoSelectsPortfolioWhenThreadsGranted) {
   Instance instance = MakeRandomInstance(SmallParams(22));
-  AdvisorOptions options;
-  options.num_sites = 2;
-  options.num_threads = 2;
-  options.time_limit_seconds = 3.0;
-  StatusOr<AdvisorResult> result = AdvisePartitioning(instance, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result->algorithm_used.find("portfolio"), std::string::npos);
+  AdviseRequest request;
+  request.num_sites = 2;
+  request.num_threads = 2;
+  request.time_limit_seconds = 3.0;
+  StatusOr<AdviseResponse> response = Advise(instance, request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_NE(response->result.algorithm_used.find("portfolio"),
+            std::string::npos);
 }
 
 // --- Parallel branch & bound -------------------------------------------

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "api/json.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "util/wire.h"
 
@@ -85,6 +86,26 @@ std::string ErrorCodeOf(const JsonValue& doc) {
   return error->Find("code")->as_string();
 }
 
+/// A reply's telemetry.mip.total_iterations: the simplex pivots of the
+/// solve behind it (-1 when the reply carries none).
+long MipPivotsOf(const JsonValue& doc) {
+  const JsonValue* telemetry = doc.Find("telemetry");
+  const JsonValue* mip =
+      telemetry == nullptr ? nullptr : telemetry->Find("mip");
+  const JsonValue* pivots =
+      mip == nullptr ? nullptr : mip->Find("total_iterations");
+  return pivots == nullptr ? -1 : static_cast<long>(pivots->as_number());
+}
+
+/// The process-lifetime `vpart_lp_iterations_total` counter that every
+/// solve folds its pivots into (0 before the first solve registers it).
+long LpPivotsTotal() {
+  for (const auto& counter : MetricsRegistry::Global().Snapshot().counters) {
+    if (counter.name == "vpart_lp_iterations_total") return counter.value;
+  }
+  return 0;
+}
+
 TEST(ServeTest, ExactRepeatIsServedFromCacheCertified) {
   AdviseServerOptions options;
   options.socket_path = SocketPath("exact");
@@ -96,17 +117,26 @@ TEST(ServeTest, ExactRepeatIsServedFromCacheCertified) {
   const std::string request =
       MakeRequest(InstanceText(10), "ilp", 5, "r1").Serialize();
 
+  const long pivots_before = LpPivotsTotal();
   StatusOr<std::string> first = client->Roundtrip(request);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   JsonValue first_doc = MustParse(*first);
   ASSERT_EQ(first_doc.Find("error"), nullptr) << *first;
   EXPECT_EQ(CacheKindOf(first_doc), "miss");
+  // The miss solved: the pivot counter moved by exactly its reported work.
+  const long pivots_after_miss = LpPivotsTotal();
+  EXPECT_GT(MipPivotsOf(first_doc), 0);
+  EXPECT_EQ(pivots_after_miss - pivots_before, MipPivotsOf(first_doc));
 
   StatusOr<std::string> second = client->Roundtrip(request);
   ASSERT_TRUE(second.ok());
   JsonValue second_doc = MustParse(*second);
   ASSERT_EQ(second_doc.Find("error"), nullptr) << *second;
   EXPECT_EQ(CacheKindOf(second_doc), "exact");
+  // The hit ran no pivots. Its telemetry.mip replays the cached proof's
+  // record. What the hit costs in time is perfbench's serve.exact_p50_ms.
+  EXPECT_EQ(LpPivotsTotal(), pivots_after_miss);
+  EXPECT_EQ(MipPivotsOf(second_doc), MipPivotsOf(first_doc));
   // The cached answer was re-verified by the SolutionCertifier.
   ASSERT_NE(second_doc.Find("certified"), nullptr);
   EXPECT_TRUE(second_doc.Find("certified")->as_bool());
@@ -166,8 +196,9 @@ TEST(ServeTest, NumericallyShiftedInstanceSeedsAsShapeHit) {
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(MustParse(*first).Find("error"), nullptr) << *first;
 
-  StatusOr<std::string> second = client->Roundtrip(
-      MakeRequest(InstanceText(20), "ilp", 5, "warm").Serialize());
+  const std::string shifted =
+      MakeRequest(InstanceText(20), "ilp", 5, "warm").Serialize();
+  StatusOr<std::string> second = client->Roundtrip(shifted);
   ASSERT_TRUE(second.ok());
   JsonValue doc = MustParse(*second);
   ASSERT_EQ(doc.Find("error"), nullptr) << *second;
@@ -175,6 +206,25 @@ TEST(ServeTest, NumericallyShiftedInstanceSeedsAsShapeHit) {
   const CacheStats stats = server.cache_stats();
   EXPECT_GE(stats.shape_hits, 1);
   server.Shutdown();
+
+  // The same shifted instance on a fresh server solves cold. The cached
+  // incumbent and root basis must save pivots over that; the time saved is
+  // perfbench's serve.seeded_p50_ms and lp.seeded_pivots.
+  options.socket_path = SocketPath("shape_cold");
+  AdviseServer fresh(options);
+  ASSERT_TRUE(fresh.Start().ok());
+  StatusOr<ServeClient> fresh_client =
+      ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(fresh_client.ok());
+  StatusOr<std::string> cold = fresh_client->Roundtrip(shifted);
+  ASSERT_TRUE(cold.ok());
+  JsonValue cold_doc = MustParse(*cold);
+  ASSERT_EQ(cold_doc.Find("error"), nullptr) << *cold;
+  EXPECT_EQ(CacheKindOf(cold_doc), "miss");
+  EXPECT_EQ(cold_doc.Find("cost")->as_number(),
+            doc.Find("cost")->as_number());
+  EXPECT_LT(MipPivotsOf(doc), MipPivotsOf(cold_doc));
+  fresh.Shutdown();
 }
 
 TEST(ServeTest, ConcurrentClientsAllGetAnswers) {

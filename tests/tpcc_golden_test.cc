@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "api/advise.h"
 #include "cost/cost_model.h"
 #include "instances/tpcc.h"
+#include "mip/branch_and_bound.h"
+#include "obs/trace.h"
 #include "solver/attribute_groups.h"
 #include "solver/exhaustive_solver.h"
+#include "solver/formulation.h"
 #include "solver/ilp_solver.h"
 
 namespace vpart {
@@ -26,6 +31,19 @@ constexpr double kFourSiteCost = 36572.0;  // no gain beyond three sites
 constexpr double kDisjointTwoSiteCost = 50019.0;
 constexpr double kLocalThreeSiteCost = 33332.0;  // p = 0
 constexpr int kAttributeGroups = 37;
+
+/// Count of the `name` row in a response's telemetry.trace_summary, or -1
+/// when the summary has no such row.
+long SpanCount(const JsonValue& trace_summary, const std::string& name) {
+  const JsonValue* spans = trace_summary.Find("spans");
+  if (spans == nullptr) return -1;
+  for (const JsonValue& span : spans->as_array()) {
+    if (span.Find("name")->as_string() == name) {
+      return static_cast<long>(span.Find("count")->as_number());
+    }
+  }
+  return -1;
+}
 
 class TpccGoldenTest : public ::testing::Test {
  protected:
@@ -100,12 +118,48 @@ TEST_F(TpccGoldenTest, IlpAgreesWithGoldenOptimum) {
       kThreeSiteCost);
 }
 
+// Warm starting is what makes the eq.-(7) branch & bound cheap: a child
+// node's LP is a dual reoptimization from its parent's basis instead of a
+// two-phase primal from a crash basis. Both searches prove the same
+// optimum (34,705.4 in 3 nodes); the warm one takes 1,317 pivots and 14
+// factorizations, the cold one 3,741 and 37. The time these counts cost is
+// perfbench's `proof` lp.us_per_pivot and lp.busy_s.
+TEST_F(TpccGoldenTest, IlpWarmStartProvesTheSameOptimumInHalfThePivots) {
+  CostModel model(&instance_, {.p = 8, .lambda = 0.1});
+  FormulationOptions formulation_options;
+  formulation_options.num_sites = 2;
+  const IlpFormulation formulation =
+      BuildIlpFormulation(model, formulation_options);
+  MipOptions options;
+  options.time_limit_seconds = 60;
+  const MipResult warm = SolveMip(formulation.model, options);
+  options.use_warm_start = false;
+  const MipResult cold = SolveMip(formulation.model, options);
+
+  ASSERT_EQ(warm.status, MipStatus::kOptimal);
+  ASSERT_EQ(cold.status, MipStatus::kOptimal);
+  // The same optimum, up to round-off in the last digits of the LP values.
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * cold.objective);
+  EXPECT_GT(warm.lp_stats.warm_starts, 0);
+  EXPECT_EQ(cold.lp_stats.warm_starts, 0);
+  EXPECT_LE(warm.lp_iterations, cold.lp_iterations / 2)
+      << "warm " << warm.lp_iterations << " vs cold " << cold.lp_iterations;
+  EXPECT_LT(warm.lp_stats.factorizations, cold.lp_stats.factorizations);
+}
+
 // The exact pivot path of the request-level ILP proofs. The LP kernels
 // must do the same floating-point operations in the same order, so a
 // kernel change that reorders any of them (and with it a pivot choice, a
 // refactorization trigger or a branching decision) moves these counts even
 // when the optimum stays put. They match in Release and in a Debug
 // ASan+UBSan build.
+//
+// Tracing must never steer the search: every obs level does the same work.
+// At `full` the trace records one bnb_node span per node plus the LP
+// reoptimize and refactorize spans; `basic` records lifecycle spans only.
+// The tracer and its summaries are process-global, so each run starts from
+// a cleared recorder. What tracing costs in time is inside every perfbench
+// end-to-end metric (requests run at `basic`), plus obs.snapshot_us.
 TEST_F(TpccGoldenTest, IlpProofPivotPathIsPinned) {
   struct Expected {
     int sites;
@@ -114,23 +168,39 @@ TEST_F(TpccGoldenTest, IlpProofPivotPathIsPinned) {
     long pivots;
     long factorizations;
   };
-  for (const Expected& expected :
-       {Expected{3, kThreeSiteCost, 17, 1093, 18},
-        Expected{4, kFourSiteCost, 53, 2415, 40}}) {
-    AdviseRequest request;
-    request.solver = "ilp";
-    request.num_sites = expected.sites;
-    request.certify = true;
-    StatusOr<AdviseResponse> response = Advise(instance_, request);
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    ASSERT_TRUE(response->result.proven_optimal);
-    EXPECT_EQ(response->result.cost, expected.cost);
-    EXPECT_EQ(response->bnb_nodes, expected.nodes)
-        << expected.sites << " sites";
-    EXPECT_EQ(response->lp_stats.total_iterations(), expected.pivots)
-        << expected.sites << " sites";
-    EXPECT_EQ(response->lp_stats.factorizations, expected.factorizations)
-        << expected.sites << " sites";
+  for (const ObsLevel obs : {ObsLevel::kOff, ObsLevel::kBasic,
+                             ObsLevel::kFull}) {
+    for (const Expected& expected :
+         {Expected{3, kThreeSiteCost, 17, 1093, 18},
+          Expected{4, kFourSiteCost, 53, 2415, 40}}) {
+      SCOPED_TRACE(std::to_string(expected.sites) + " sites, obs " +
+                   ObsLevelName(obs));
+      Tracer::Global().Clear();
+      AdviseRequest request;
+      request.solver = "ilp";
+      request.num_sites = expected.sites;
+      request.certify = true;
+      request.obs = obs;
+      StatusOr<AdviseResponse> response = Advise(instance_, request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_TRUE(response->result.proven_optimal);
+      EXPECT_EQ(response->result.cost, expected.cost);
+      EXPECT_EQ(response->bnb_nodes, expected.nodes);
+      EXPECT_EQ(response->lp_stats.total_iterations(), expected.pivots);
+      EXPECT_EQ(response->lp_stats.factorizations, expected.factorizations);
+
+      const JsonValue& summary = response->trace_summary;
+      if (obs == ObsLevel::kOff) {
+        EXPECT_TRUE(summary.is_null());
+      } else if (obs == ObsLevel::kBasic) {
+        EXPECT_GT(SpanCount(summary, "advise"), 0);
+        EXPECT_EQ(SpanCount(summary, "bnb_node"), -1);
+      } else {
+        EXPECT_EQ(SpanCount(summary, "bnb_node"), response->bnb_nodes);
+        EXPECT_GT(SpanCount(summary, "lp_reoptimize"), 0);
+        EXPECT_GT(SpanCount(summary, "lp_refactorize"), 0);
+      }
+    }
   }
 }
 
