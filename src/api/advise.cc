@@ -68,9 +68,21 @@ const char* AdviseOutcomeName(AdviseOutcome outcome) {
   return "unknown";
 }
 
-StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
-                                         const AdviseRequest& request,
-                                         const AdviseHooks& hooks) {
+namespace {
+
+AdviseHooks DeadlineHooks(const AdviseRequest& request) {
+  AdviseHooks hooks;
+  hooks.token = CancellationToken::WithDeadline(request.time_limit_seconds);
+  return hooks;
+}
+
+/// The advise pipeline: the solve step (resolve, solve, validate, price,
+/// certify, fold the LP stats into the metrics), then, when `snapshots` is
+/// set and the request is observed, the snapshot step. The snapshots are
+/// taken while the request still counts as in flight.
+StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
+                                   const AdviseRequest& request,
+                                   const AdviseHooks& hooks, bool snapshots) {
   if (request.num_sites < 1) {
     return InvalidArgumentError("num_sites must be >= 1");
   }
@@ -332,18 +344,30 @@ StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
   root_span->AddArg("cost", result.cost);
   root_span->AddArg("algorithm", result.algorithm_used);
   root_span.reset();
-  if (request.obs != ObsLevel::kOff) {
+  if (snapshots && request.obs != ObsLevel::kOff) {
     response.metrics = MetricsToJson(metrics.Snapshot());
     response.trace_summary = TraceSummaryToJson(Tracer::Global().Summarize());
   }
   return response;
 }
 
+}  // namespace
+
+StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
+                                         const AdviseRequest& request,
+                                         const AdviseHooks& hooks) {
+  return RunAdvice(instance, request, hooks, /*snapshots=*/true);
+}
+
 StatusOr<AdviseResponse> Advise(const Instance& instance,
                                 const AdviseRequest& request) {
-  AdviseHooks hooks;
-  hooks.token = CancellationToken::WithDeadline(request.time_limit_seconds);
-  return AdviseWithHooks(instance, request, hooks);
+  return AdviseWithHooks(instance, request, DeadlineHooks(request));
+}
+
+StatusOr<AdviseResponse> AdviseWithoutSnapshots(
+    const Instance& instance, const AdviseRequest& request) {
+  return RunAdvice(instance, request, DeadlineHooks(request),
+                   /*snapshots=*/false);
 }
 
 }  // namespace vpart

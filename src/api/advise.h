@@ -193,9 +193,10 @@ struct AdviseResponse {
   bool certified = false;
   /// Observability snapshots captured at the end of the solve, serialized
   /// under `telemetry.metrics` / `telemetry.trace_summary` in the JSON
-  /// response. Null objects when the request ran with obs = kOff. Both
-  /// reflect the process-global registry/recorder, so concurrent requests
-  /// see shared totals (documented in DESIGN.md).
+  /// response. Null objects when the request ran with obs = kOff, and from
+  /// AdviseWithoutSnapshots. Both reflect the process-global
+  /// registry/recorder, so concurrent requests see shared totals
+  /// (documented in DESIGN.md).
   JsonValue metrics;
   JsonValue trace_summary;
   /// Terminal basis of the root relaxation when a branch & bound ran with
@@ -229,6 +230,15 @@ StatusOr<AdviseResponse> Advise(const Instance& instance,
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,
                                          const AdviseHooks& hooks);
+
+/// Advise without the closing telemetry snapshots: the same solve,
+/// validation, pricing, certification and metric counters, but `metrics`
+/// and `trace_summary` stay null. For fan-out callers that keep only
+/// `result` of many sub-solves (batch table lanes, dist table units); a
+/// snapshot walks every tracer ring, and the response such a caller
+/// returns takes its own.
+StatusOr<AdviseResponse> AdviseWithoutSnapshots(const Instance& instance,
+                                                const AdviseRequest& request);
 
 }  // namespace vpart
 

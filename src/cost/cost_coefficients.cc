@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace vpart {
 
@@ -110,8 +111,46 @@ double CostCoefficients::MaxLoad(const Partitioning& partitioning) const {
 
 double CostCoefficients::ScalarizedObjective(
     const Partitioning& partitioning) const {
-  return (1.0 - params_.lambda) * Objective(partitioning) +
-         params_.lambda * MaxLoad(partitioning);
+  const int num_a = instance_->num_attributes();
+  const int num_t = instance_->num_transactions();
+  const int num_s = partitioning.num_sites();
+  // One load accumulator per site; the stack buffer covers the usual site
+  // counts, so the SA inner loop allocates nothing here.
+  constexpr int kInlineSites = 8;
+  double inline_loads[kInlineSites];
+  std::vector<double> heap_loads;
+  double* loads = inline_loads;
+  if (num_s > kInlineSites) {
+    heap_loads.resize(num_s);
+    loads = heap_loads.data();
+  }
+  std::fill(loads, loads + num_s, 0.0);
+
+  // Objective()'s terms in Objective()'s order; site s's load takes
+  // SiteLoad(s)'s terms in SiteLoad(s)'s order.
+  double objective = 0.0;
+  for (int t = 0; t < num_t; ++t) {
+    const int s = partitioning.SiteOfTransaction(t);
+    assert(s >= 0 && s < num_s);
+    for (int a : instance_->TouchedAttributesOfTransaction(t)) {
+      if (partitioning.HasAttribute(a, s)) {
+        objective += c1_[IdxTA(t, a)];
+        loads[s] += c3_[IdxTA(t, a)];
+      }
+    }
+  }
+  for (int a = 0; a < num_a; ++a) {
+    int replicas = 0;
+    for (int s = 0; s < num_s; ++s) {
+      if (!partitioning.HasAttribute(a, s)) continue;
+      ++replicas;
+      if (c4_[a] != 0.0) loads[s] += c4_[a];
+    }
+    if (c2_[a] != 0.0) objective += c2_[a] * replicas;
+  }
+  double max_load = 0.0;
+  for (int s = 0; s < num_s; ++s) max_load = std::max(max_load, loads[s]);
+  return (1.0 - params_.lambda) * objective + params_.lambda * max_load;
 }
 
 double CostCoefficients::TransactionOnSiteCost(const Partitioning& partitioning,

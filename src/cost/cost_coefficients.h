@@ -48,15 +48,15 @@ std::shared_ptr<const Instance> BorrowInstance(const Instance& instance);
 
 /// The cost-model contract every solver consumes: precomputed objective
 /// coefficients c1..c4 in the shape of the paper's eq. (4)/(5) plus the
-/// evaluation surface (Objective/Breakdown/SiteLoad and the marginal
-/// helpers the heuristics use). Backends differ only in the *physics*
-/// behind the coefficients — how many storage-layer units query q pays per
-/// touched attribute a, and how many units a remote replica costs on the
-/// wire — which they supply through the AccessWeight/TransferWeight hooks;
-/// the coefficient assembly and the default evaluation are shared, so a
-/// backend is typically a constructor plus two small overrides (see
-/// cost/cost_model.h for the paper backend and cost/cost_backends.h for
-/// the hardware-scenario ones).
+/// evaluation surface (the virtual Objective/Breakdown/ScalarizedObjective,
+/// and the table-driven SiteLoad and marginal helpers the heuristics use).
+/// Backends differ only in the *physics* behind the coefficients — how
+/// many storage-layer units query q pays per touched attribute a, and how
+/// many units a remote replica costs on the wire — which they supply
+/// through the AccessWeight/TransferWeight hooks; the coefficient assembly
+/// and the default evaluation are shared, so a backend is typically a
+/// constructor plus two small overrides (see cost/cost_model.h for the
+/// paper backend and cost/cost_backends.h for the hardware-scenario ones).
 ///
 /// The hot-path accessors c1..c4 are non-virtual reads of the precomputed
 /// tables, so handing a solver the interface instead of a concrete class
@@ -96,26 +96,32 @@ class CostCoefficients {
   virtual CostBreakdown Breakdown(const Partitioning& partitioning) const;
 
   /// Eq. (5): work of site s.
-  virtual double SiteLoad(const Partitioning& partitioning, int s) const;
+  double SiteLoad(const Partitioning& partitioning, int s) const;
 
   /// max_s SiteLoad(s) — the m of the load-balanced model.
   double MaxLoad(const Partitioning& partitioning) const;
 
   /// Eq. (6) as intended: (1−λ)·Objective + λ·MaxLoad. This is what the
-  /// solvers minimize; Objective() is what gets reported.
+  /// solvers minimize; Objective() is what gets reported. The default
+  /// scores the base objective and every site's load in one pass over the
+  /// transactions, each accumulator taking the same terms in the same
+  /// order as Objective() and SiteLoad(), so it equals
+  /// (1−λ)·Objective() + λ·MaxLoad() bit for bit. It never calls the
+  /// virtual Objective(): a class that overrides Objective() must also
+  /// override ScalarizedObjective().
   virtual double ScalarizedObjective(const Partitioning& partitioning) const;
 
   /// Σ_a c1(a,t)·y[a][s]: cost contribution of placing transaction t on s
   /// given the attribute placement in `partitioning`. Used by the SA solver
-  /// and the exhaustive enumerator.
-  virtual double TransactionOnSiteCost(const Partitioning& partitioning,
-                                       int t, int s) const;
+  /// and the incremental solver's greedy fold-in.
+  double TransactionOnSiteCost(const Partitioning& partitioning, int t,
+                               int s) const;
 
   /// Objective-(4) delta coefficient of adding a replica of attribute a on
   /// site s: c2(a) + Σ_{t on s} c1(a,t). Negative values mean replication
   /// pays for itself (transfer saved exceeds write amplification).
-  virtual double AttributeOnSiteCost(const Partitioning& partitioning, int a,
-                                     int s) const;
+  double AttributeOnSiteCost(const Partitioning& partitioning, int a,
+                             int s) const;
 
   /// Units shipped per remote replica when write query q updates its
   /// referenced attribute a — the α-side physics. Only the cold paths use

@@ -217,7 +217,7 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
           // The exact per-table call AdviseSchema's in-process pool makes,
           // so the merged advice is byte-identical to a local batch.
           StatusOr<AdviseResponse> advised =
-              Advise(job.subs[t].instance, job.cli.request);
+              AdviseWithoutSnapshots(job.subs[t].instance, job.cli.request);
           VPART_RETURN_IF_ERROR(advised.status());
           JsonValue reply = MakeDistMessage(kDistMsgUnitResult);
           reply.Set("advisor", EncodeAdvisorResult(job.subs[t].instance,

@@ -31,8 +31,9 @@ struct WorkerOptions {
 /// uses, over a model rebuilt from the job's embedded instance text — the
 /// .vpi format round-trips doubles exactly and the formulation build is
 /// deterministic, so the worker's model is bit-identical to the
-/// coordinator's. Table units run the full Advise() pipeline on the
-/// deterministically re-split per-table subinstance.
+/// coordinator's. Table units run the Advise() pipeline, without its
+/// telemetry snapshots (AdviseWithoutSnapshots), on the deterministically
+/// re-split per-table subinstance.
 Status RunDistWorker(Transport& transport, const WorkerOptions& options = {});
 
 /// Connects to a coordinator's Unix socket and runs RunDistWorker — the

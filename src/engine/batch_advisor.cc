@@ -122,7 +122,8 @@ StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
   std::vector<Status> statuses(n);
   int threads_used = 1;
   // Per-table solves go through the service API (one request template,
-  // one registry resolution path) — the same pipeline AdviseSession runs.
+  // one registry resolution path) — the same pipeline AdviseSession runs,
+  // minus the telemetry snapshots: a lane keeps only `result`.
   // Each solve gets its own span on whichever pool lane picked it up, so
   // traces show the per-table schedule across worker threads.
   {
@@ -133,7 +134,8 @@ StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
       Span table_span("batch_table", "batch");
       table_span.AddArg(
           "table", instance.schema().table(subs[i].table_id).name);
-      StatusOr<AdviseResponse> advised = Advise(subs[i].instance, request);
+      StatusOr<AdviseResponse> advised =
+          AdviseWithoutSnapshots(subs[i].instance, request);
       if (advised.ok()) {
         table_span.AddArg("cost", advised->result.cost);
         results[i] = std::move(advised->result);

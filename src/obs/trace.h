@@ -59,9 +59,12 @@ struct TraceSummary {
 };
 
 /// Flight recorder: spans and instant events land in per-thread ring
-/// buffers (bounded memory, oldest overwritten), so the last moments of a
-/// hung or cancelled solve are always inspectable. Rings are retained after
-/// their thread exits (pool workers come and go) until Clear().
+/// buffers (bounded memory per ring, oldest overwritten), so the last
+/// moments of a hung or cancelled solve are always inspectable. Rings are
+/// retained after their thread exits (pool workers come and go) and are
+/// never dropped, not even by Clear(): the number of rings, and the work of
+/// every Snapshot()/Summarize(), grows with every thread that ever recorded
+/// an event or named its lane.
 ///
 /// Thread-safety: Record*() from any thread; each ring has its own mutex so
 /// writers on different threads never contend and snapshots are TSan-clean.
@@ -111,7 +114,9 @@ class Tracer {
   /// responses embed as telemetry.trace_summary.
   TraceSummary Summarize() const;
 
-  /// Drops all recorded events and ring registrations (tests/benches).
+  /// Drops all recorded events (tests/benches). Every ring stays
+  /// registered, so a live thread's cached ring keeps recording into a
+  /// ring that later snapshots still see.
   void Clear();
 
   /// Opaque per-thread ring buffer (defined in trace.cc).

@@ -13,6 +13,7 @@ struct Enumerator {
   const ExhaustiveOptions& options;
   Deadline deadline;
   Partitioning work;
+  OptimalYWorkspace optimal_y;
   ExhaustiveResult result;
   double best_key = 1e300;
 
@@ -24,7 +25,8 @@ struct Enumerator {
 
   void Evaluate() {
     ++result.candidates;
-    if (!ComputeOptimalY(cost_model, work, options.allow_replication)) {
+    if (!ComputeOptimalY(cost_model, work, options.allow_replication,
+                         optimal_y)) {
       return;  // disjoint mode: readers span sites
     }
     const double cost = cost_model.Objective(work);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -13,18 +14,26 @@ namespace vpart {
 
 bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
                      bool allow_replication) {
+  OptimalYWorkspace workspace;
+  return ComputeOptimalY(cost_model, p, allow_replication, workspace);
+}
+
+bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
+                     bool allow_replication, OptimalYWorkspace& workspace) {
   const Instance& instance = cost_model.instance();
   const int num_a = instance.num_attributes();
   const int num_s = p.num_sites();
   const int num_t = instance.num_transactions();
 
   // κ(a,s) = c2(a) + Σ_{t on s} c1(a,t).
-  std::vector<double> kappa(static_cast<size_t>(num_a) * num_s);
+  std::vector<double>& kappa = workspace.kappa;
+  kappa.resize(static_cast<size_t>(num_a) * num_s);
   for (int a = 0; a < num_a; ++a) {
     const double c2 = cost_model.c2(a);
     for (int s = 0; s < num_s; ++s) kappa[a * num_s + s] = c2;
   }
-  std::vector<uint8_t> forced(static_cast<size_t>(num_a) * num_s, 0);
+  std::vector<uint8_t>& forced = workspace.forced;
+  forced.assign(static_cast<size_t>(num_a) * num_s, 0);
   for (int t = 0; t < num_t; ++t) {
     const int s = p.SiteOfTransaction(t);
     assert(s >= 0 && s < num_s);
@@ -136,12 +145,23 @@ bool ShouldStop(const SaOptions& options, const Deadline& deadline) {
          options.cancel_flag->load(std::memory_order_relaxed);
 }
 
+/// Scratch of one SolveWithSa call, reused by all of its anneals so the
+/// inner loop allocates nothing once the buffers have grown. Owned by the
+/// call, never static or shared: concurrent solves stay independent.
+struct AnnealWorkspace {
+  OptimalYWorkspace optimal_y;
+  Partitioning candidate;
+  std::vector<int> sample;  // neighbourhood indices
+  std::vector<int> absent;  // sites lacking a sampled attribute
+};
+
 /// One full anneal (Algorithm 1) from the given start. Appends iteration
 /// and acceptance counts into `result` and updates the global best.
 void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
                 const SaOptions& options, const Partitioning* start,
-                const Deadline& deadline, Rng& rng, SaResult& result,
-                Partitioning& global_best, double& global_best_obj) {
+                const Deadline& deadline, Rng& rng, AnnealWorkspace& ws,
+                SaResult& result, Partitioning& global_best,
+                double& global_best_obj) {
   const Instance& instance = cost_model.instance();
   const int num_t = instance.num_transactions();
   const int num_a = instance.num_attributes();
@@ -163,11 +183,12 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       current.AssignTransaction(t, s);
     }
     bool feasible = ComputeOptimalY(cost_model, current,
-                                    options.allow_replication);
+                                    options.allow_replication, ws.optimal_y);
     if (!feasible) {
       // Retry single-sited; always feasible.
       for (int t = 0; t < num_t; ++t) current.AssignTransaction(t, 0);
-      ComputeOptimalY(cost_model, current, options.allow_replication);
+      ComputeOptimalY(cost_model, current, options.allow_replication,
+                      ws.optimal_y);
     }
   }
 
@@ -190,31 +211,34 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
 
   bool fix_x = true;  // Algorithm 1 line 4: fix <- "x"
   int stale_rounds = 0;
+  Partitioning& candidate = ws.candidate;
   while (tau > tau0 * options.min_temperature_ratio &&
          stale_rounds < options.stale_rounds_limit &&
          !ShouldStop(options, deadline)) {
     bool improved_this_round = false;
     for (int i = 0; i < options.inner_iterations; ++i) {
       if (ShouldStop(options, deadline)) break;
-      Partitioning candidate = current;
+      candidate = current;  // copy-assign: reuses the candidate's buffers
 
       // Neighborhood of x: move ~10% of transactions to random sites.
       if (num_sites > 1) {
-        for (int idx : rng.SampleWithoutReplacement(num_t, txn_moves)) {
+        rng.SampleWithoutReplacement(num_t, txn_moves, ws.sample);
+        for (int idx : ws.sample) {
           candidate.AssignTransaction(
               idx, static_cast<int>(rng.NextBounded(num_sites)));
         }
       }
       // Neighborhood of y: extend replication of ~10% of attributes.
       if (options.allow_replication && num_sites > 1) {
-        for (int idx : rng.SampleWithoutReplacement(num_a, attr_moves)) {
-          std::vector<int> absent;
+        rng.SampleWithoutReplacement(num_a, attr_moves, ws.sample);
+        for (int idx : ws.sample) {
+          ws.absent.clear();
           for (int s = 0; s < num_sites; ++s) {
-            if (!candidate.HasAttribute(idx, s)) absent.push_back(s);
+            if (!candidate.HasAttribute(idx, s)) ws.absent.push_back(s);
           }
-          if (!absent.empty()) {
+          if (!ws.absent.empty()) {
             candidate.PlaceAttribute(
-                idx, absent[rng.NextBounded(absent.size())]);
+                idx, ws.absent[rng.NextBounded(ws.absent.size())]);
           }
         }
       }
@@ -222,7 +246,7 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       // findSolution(fix): re-optimize the non-fixed side.
       const bool ok =
           fix_x ? ComputeOptimalY(cost_model, candidate,
-                                  options.allow_replication)
+                                  options.allow_replication, ws.optimal_y)
                 : ComputeOptimalX(cost_model, candidate,
                                   options.allow_replication);
       fix_x = !fix_x;  // Algorithm 1 line 16
@@ -233,7 +257,7 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       const double delta = candidate_obj - current_obj;
       if (delta <= 0 ||
           rng.NextDouble() < std::exp(-delta / std::max(tau, 1e-300))) {
-        current = std::move(candidate);
+        std::swap(current, candidate);
         current_obj = candidate_obj;
         ++result.accepted;
         if (current_obj < best_obj - 1e-12) {
@@ -263,6 +287,7 @@ SaResult SolveWithSa(const CostCoefficients& cost_model, int num_sites,
   Rng rng(options.seed);
 
   SaResult result;
+  AnnealWorkspace workspace;
   Partitioning global_best;
   double global_best_obj = 0.0;
 
@@ -280,31 +305,32 @@ SaResult SolveWithSa(const CostCoefficients& cost_model, int num_sites,
 
   // First anneal per Algorithm 1 (caller-provided start if any).
   AnnealOnce(cost_model, num_sites, options, options.initial, deadline, rng,
-             result, global_best, global_best_obj);
+             workspace, result, global_best, global_best_obj);
   emit_progress();
 
-  // Restarts while the time budget lasts: annealing is cheap relative to
-  // typical budgets, so we re-run from diverse starts and keep the best.
-  // The first restart begins from the trivial single-site layout — when
-  // partitioning does not pay (the paper's rndB…x100 rows) the best answer
-  // IS that layout, and a random multi-site start rarely walks back to it.
-  if (deadline.HasLimit() && num_sites > 1 &&
-      !ShouldStop(options, deadline)) {
+  // Restarts, up to max_restarts and while any time budget lasts:
+  // annealing is cheap, so we re-run from diverse starts and keep the
+  // best. The first restart begins from the trivial single-site layout —
+  // when partitioning does not pay (the paper's rndB…x100 rows) the best
+  // answer IS that layout, and a random multi-site start rarely walks back
+  // to it.
+  if (num_sites > 1 && !ShouldStop(options, deadline)) {
     const Instance& instance = cost_model.instance();
     Partitioning single_site(instance.num_transactions(),
                              instance.num_attributes(), num_sites);
     for (int t = 0; t < instance.num_transactions(); ++t) {
       single_site.AssignTransaction(t, 0);
     }
-    ComputeOptimalY(cost_model, single_site, options.allow_replication);
+    ComputeOptimalY(cost_model, single_site, options.allow_replication,
+                    workspace.optimal_y);
     AnnealOnce(cost_model, num_sites, options, &single_site, deadline, rng,
-               result, global_best, global_best_obj);
+               workspace, result, global_best, global_best_obj);
     emit_progress();
     for (int restart = 0;
          restart < options.max_restarts && !ShouldStop(options, deadline);
          ++restart) {
       AnnealOnce(cost_model, num_sites, options, nullptr, deadline, rng,
-                 result, global_best, global_best_obj);
+                 workspace, result, global_best, global_best_obj);
       emit_progress();
     }
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "cost/cost_coefficients.h"
 
@@ -20,6 +21,20 @@ namespace vpart {
 /// multiple sites makes the x assignment infeasible; returns false then.
 bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
                      bool allow_replication = true);
+
+/// ComputeOptimalY's scratch buffers. A caller that derives y many times
+/// (the SA loop, the exhaustive enumerator) keeps one and passes it to
+/// every call, so the calls allocate nothing once the buffers have grown.
+/// It holds no state between calls, but two concurrent calls must not
+/// share one: each solve owns its own.
+struct OptimalYWorkspace {
+  std::vector<double> kappa;    // κ(a,s), attribute-major
+  std::vector<uint8_t> forced;  // 1 where a reader of a runs on s
+};
+
+/// ComputeOptimalY on the caller's workspace; same result.
+bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
+                     bool allow_replication, OptimalYWorkspace& workspace);
 
 /// Re-assigns every transaction to its cheapest feasible site for the fixed
 /// attribute placement in `p` (findSolution with y fixed). A transaction
@@ -64,9 +79,11 @@ struct SaOptions {
   /// MIP call at 30 s; our findSolution is closed-form, so the cap applies
   /// to the whole anneal.)
   double time_limit_seconds = 0.0;
-  /// With a time budget, additional random restarts run until it expires
-  /// (capped here). One extra restart always begins from the single-site
-  /// layout so "don't partition" is reliably in the comparison set.
+  /// With more than one site, the first anneal is followed by one restart
+  /// from the single-site layout, so "don't partition" is reliably in the
+  /// comparison set, and then up to this many random restarts. The time
+  /// budget or a cancellation stops them early; without a budget they all
+  /// run.
   int max_restarts = 6;
   uint64_t seed = 1;
   /// Non-disjoint (replicating) mode is the paper's SA setting; disjoint

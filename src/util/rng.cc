@@ -71,16 +71,21 @@ bool Rng::NextBool(double p) {
 }
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
+  std::vector<int> sample;
+  SampleWithoutReplacement(n, k, sample);
+  return sample;
+}
+
+void Rng::SampleWithoutReplacement(int n, int k, std::vector<int>& out) {
   assert(k >= 0 && k <= n);
-  std::vector<int> all(n);
-  for (int i = 0; i < n; ++i) all[i] = i;
+  out.resize(n);
+  for (int i = 0; i < n; ++i) out[i] = i;
   // Partial Fisher-Yates: the first k entries are the sample.
   for (int i = 0; i < k; ++i) {
     int j = i + static_cast<int>(NextBounded(n - i));
-    std::swap(all[i], all[j]);
+    std::swap(out[i], out[j]);
   }
-  all.resize(k);
-  return all;
+  out.resize(k);
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ull); }

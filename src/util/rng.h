@@ -34,6 +34,9 @@ class Rng {
 
   /// Picks `k` distinct indices from [0, n) in random order (k <= n).
   std::vector<int> SampleWithoutReplacement(int n, int k);
+  /// As above, into `out` (resized to k): the same draws, in storage the
+  /// caller reuses so its loop allocates nothing.
+  void SampleWithoutReplacement(int n, int k, std::vector<int>& out);
 
   /// Fisher-Yates shuffle.
   template <typename T>

@@ -128,6 +128,32 @@ TEST(BatchAdvisorTest, ThreadCountDoesNotChangeTheAdvice) {
   EXPECT_EQ(four->threads_used, 4);
 }
 
+// The same contract for SA lanes, which run concurrently: each per-table
+// anneal is seeded and owns its scratch, so no lane can see another's.
+TEST(BatchAdvisorTest, SaAdviceDoesNotDependOnTableThreads) {
+  const Instance schema = MakeRandomInstance(Table1DefaultParams(30, 1));
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 3;
+  batch.request.solver = kSolverSa;
+
+  batch.table_threads = 1;
+  StatusOr<BatchAdvisorResult> one = AdviseSchema(schema, batch);
+  batch.table_threads = 4;
+  StatusOr<BatchAdvisorResult> four = AdviseSchema(schema, batch);
+  ASSERT_TRUE(one.ok() && four.ok());
+  EXPECT_EQ(four->threads_used, 4);
+  ASSERT_EQ(one->tables.size(), four->tables.size());
+  for (size_t i = 0; i < one->tables.size(); ++i) {
+    const AdvisorResult& a = one->tables[i].result;
+    const AdvisorResult& b = four->tables[i].result;
+    EXPECT_EQ(a.cost, b.cost) << one->tables[i].table_name;
+    EXPECT_TRUE(a.partitioning == b.partitioning)
+        << one->tables[i].table_name;
+  }
+  EXPECT_EQ(one->combined.cost, four->combined.cost);
+  EXPECT_TRUE(one->combined.partitioning == four->combined.partitioning);
+}
+
 TEST(BatchAdvisorTest, PerTableProofsRollUpToTheCombinedFlag) {
   Instance tpcc = MakeTpccInstance();
   BatchAdviseRequest batch;

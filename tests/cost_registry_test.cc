@@ -16,6 +16,7 @@
 #include "cost/latency_decorator.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
+#include "solver/sa_solver.h"
 #include "util/rng.h"
 
 namespace vpart {
@@ -179,6 +180,44 @@ TEST(CostBackendPropertyTest, ObjectiveEqualsBreakdownForEveryBackend) {
       EXPECT_NEAR(objective, model->Breakdown(p).total,
                   1e-9 * (1 + std::abs(objective)))
           << backend << " trial " << trial;
+    }
+  }
+}
+
+// ScalarizedObjective scores the objective and every site's load in one
+// pass; it must equal the two-pass definition (1−λ)·Objective + λ·MaxLoad
+// bit for bit, for every backend and site count (9 sites overflows the
+// pass's stack buffer of site loads). Non-dyadic widths make the
+// coefficients inexact, so a sum taken in another order shows.
+TEST(CostBackendPropertyTest, OnePassScalarizedObjectiveIsExact) {
+  Rng rng(31);
+  for (int trial = 0; trial < 6; ++trial) {
+    RandomInstanceParams rip;
+    rip.num_transactions = 8;
+    rip.num_tables = 4;
+    rip.update_percent = 30;
+    rip.allowed_widths = {0.3, 1.7, 2.9, 5.1};
+    rip.seed = 5000 + trial;
+    Instance instance = MakeRandomInstance(rip);
+    for (const char* backend :
+         {kCostModelPaper, kCostModelCacheline, kCostModelDiskPage}) {
+      for (double lambda : {0.1, 0.7}) {
+        std::shared_ptr<const CostCoefficients> model =
+            Build(instance, backend, {.p = 8, .lambda = lambda});
+        for (int sites : {1, 2, 3, 9}) {
+          Partitioning p(instance.num_transactions(),
+                         instance.num_attributes(), sites);
+          for (int t = 0; t < instance.num_transactions(); ++t) {
+            p.AssignTransaction(t, static_cast<int>(rng.NextBounded(sites)));
+          }
+          ASSERT_TRUE(ComputeOptimalY(*model, p));
+          EXPECT_EQ(model->ScalarizedObjective(p),
+                    (1.0 - lambda) * model->Objective(p) +
+                        lambda * model->MaxLoad(p))
+              << backend << " λ " << lambda << " sites " << sites
+              << " trial " << trial;
+        }
+      }
     }
   }
 }

@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include "api/advise.h"
+#include "api/solver_registry.h"
 #include "cost/cost_model.h"
+#include "engine/batch_advisor.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
 #include "solver/sa_solver.h"
@@ -230,6 +233,68 @@ TEST(SaSolverTest, TimeLimitIsHonored) {
   SaResult result = SolveWithSa(model, 3, options);
   EXPECT_LT(result.seconds, 2.0);
   EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok());
+}
+
+// The anneal path, pinned: the SA kernel must draw the same random numbers
+// and add the same terms in the same order, so the iteration and
+// acceptance counts and the objective bits stay exactly these. The 30 s
+// budget is never reached, so no count depends on the clock.
+TEST(SaSolverTest, AnnealPathIsPinned) {
+  struct Case {
+    const char* name;
+    Instance instance;
+    int sites;
+    long iterations;
+    long accepted;
+    double cost;
+    double scalarized;
+  };
+  StatusOr<Instance> rnd = MakeNamedRandomInstance("rndAt8x15");
+  ASSERT_TRUE(rnd.ok());
+  StatusOr<std::vector<TableSubinstance>> tables =
+      SplitInstanceByTable(MakeRandomInstance(Table1DefaultParams(100, 1)));
+  ASSERT_TRUE(tables.ok());
+  const Case cases[] = {
+      {"TPC-C@3", MakeTpccInstance(), 3, 3880, 1861, 36572, 34622.4},
+      {"rndAt8x15@2", std::move(*rnd), 2, 7040, 2786, 4088, 3969.8},
+      {"table 0@3", (*tables)[0].instance, 3, 3480, 1207, 92, 88},
+  };
+  for (const Case& c : cases) {
+    CostModel model(&c.instance, {.p = 8, .lambda = 0.1});
+    SaOptions options;
+    options.seed = 1;
+    options.max_restarts = 6;
+    options.time_limit_seconds = 30;
+    const SaResult result = SolveWithSa(model, c.sites, options);
+    EXPECT_EQ(result.iterations, c.iterations) << c.name;
+    EXPECT_EQ(result.accepted, c.accepted) << c.name;
+    EXPECT_EQ(result.cost, c.cost) << c.name;
+    EXPECT_EQ(result.scalarized, c.scalarized) << c.name;
+  }
+}
+
+// time_limit_seconds 0 means unlimited, and an unlimited solve runs every
+// restart, the single-site one included: on an instance where
+// partitioning does not pay, the advice is then never worse than not
+// partitioning.
+TEST(SaSolverTest, UnlimitedBudgetRunsEveryRestart) {
+  StatusOr<Instance> instance = MakeNamedRandomInstance("rndBt4x100");
+  ASSERT_TRUE(instance.ok());
+  CostModel model(&*instance, {.p = 8, .lambda = 0.1});
+  SaOptions options;
+  options.max_restarts = 6;
+  int anneals = 0;
+  options.progress = [&anneals](const SaProgress&) { ++anneals; };
+  SolveWithSa(model, 3, options);
+  EXPECT_EQ(anneals, 2 + options.max_restarts);
+
+  AdviseRequest request;
+  request.solver = kSolverSa;
+  request.num_sites = 3;
+  request.time_limit_seconds = 0;
+  StatusOr<AdviseResponse> response = Advise(*instance, request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_GE(response->result.reduction_percent, 0.0);
 }
 
 }  // namespace
