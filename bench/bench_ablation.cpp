@@ -4,7 +4,8 @@
 // random instance:
 //
 //   1. §4 attribute grouping ("reasonable cuts") on/off,
-//   2. the site-symmetry cut (x[t0][s0] = 1) on/off,
+//   2. the first-use site-symmetry rows (x[t][s] = 0 for s > t, and
+//      x[t][s] <= Σ_{t'<t} x[t'][s-1]) on/off,
 //   3. direction-aware u-linking rows vs the full textbook linearization,
 //   4. SA warm-start incumbent for branch & bound on/off,
 //   5. SA neighborhood size (the paper's 10% vs 2% and 30%).
@@ -80,7 +81,7 @@ void RunIlpAblations(const char* label, const Instance& instance, int sites,
   const Variant variants[] = {
       {"full (baseline)", true, true, true, true},
       {"no attribute grouping", false, true, true, true},
-      {"no symmetry cut", true, false, true, true},
+      {"no first-use rows", true, false, true, true},
       {"textbook 3-row linking", true, true, false, true},
       {"cold start (no SA incumbent)", true, true, true, false},
   };

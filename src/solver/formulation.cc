@@ -1,11 +1,40 @@
 #include "solver/formulation.h"
 
-#include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "util/string_util.h"
 
 namespace vpart {
+namespace {
+
+/// `p` with its sites relabelled in order of first use by transactions
+/// 0, 1, …; unused sites follow in their original order. This is the one
+/// labelling of p that the first-use rows admit.
+Partitioning RelabelSitesByFirstUse(const Partitioning& p) {
+  const int num_sites = p.num_sites();
+  std::vector<int> relabel(num_sites, -1);
+  int next = 0;
+  for (int t = 0; t < p.num_transactions(); ++t) {
+    int& label = relabel[p.SiteOfTransaction(t)];
+    if (label < 0) label = next++;
+  }
+  for (int s = 0; s < num_sites; ++s) {
+    if (relabel[s] < 0) relabel[s] = next++;
+  }
+  Partitioning q(p.num_transactions(), p.num_attributes(), num_sites);
+  for (int t = 0; t < p.num_transactions(); ++t) {
+    q.AssignTransaction(t, relabel[p.SiteOfTransaction(t)]);
+  }
+  for (int a = 0; a < p.num_attributes(); ++a) {
+    for (int s = 0; s < num_sites; ++s) {
+      if (p.HasAttribute(a, s)) q.PlaceAttribute(a, relabel[s]);
+    }
+  }
+  return q;
+}
+
+}  // namespace
 
 Partitioning IlpFormulation::ExtractPartitioning(
     const std::vector<double>& values) const {
@@ -42,39 +71,24 @@ std::vector<double> IlpFormulation::EncodePartitioning(
   const int num_a = static_cast<int>(y_var.size());
   assert(p.num_sites() == num_sites);
 
-  // Site relabeling for the symmetry cut.
-  std::vector<int> relabel(num_sites);
-  for (int s = 0; s < num_sites; ++s) relabel[s] = s;
-  if (options.break_symmetry && num_t > 0) {
-    const int s0 = p.SiteOfTransaction(0);
-    std::swap(relabel[s0], relabel[0]);
-  }
-
+  const Partitioning q =
+      options.break_symmetry ? RelabelSitesByFirstUse(p) : p;
   std::vector<double> values(model.num_variables(), 0.0);
   for (int t = 0; t < num_t; ++t) {
-    values[x_var[t][relabel[p.SiteOfTransaction(t)]]] = 1.0;
+    values[x_var[t][q.SiteOfTransaction(t)]] = 1.0;
   }
   for (int a = 0; a < num_a; ++a) {
     for (int s = 0; s < num_sites; ++s) {
-      if (p.HasAttribute(a, s)) values[y_var[a][relabel[s]]] = 1.0;
+      if (q.HasAttribute(a, s)) values[y_var[a][s]] = 1.0;
     }
   }
   for (const UVar& u : u_vars) {
-    const int xs = relabel[p.SiteOfTransaction(u.t)];
-    // u.s already indexes the relabeled space, so compare against the
-    // relabeled x/y values directly.
-    const bool x_on = (xs == u.s);
-    bool y_on = false;
-    for (int s = 0; s < num_sites; ++s) {
-      if (relabel[s] == u.s) {
-        y_on = p.HasAttribute(u.a, s);
-        break;
-      }
-    }
-    values[u.column] = (x_on && y_on) ? 1.0 : 0.0;
+    const bool on =
+        q.SiteOfTransaction(u.t) == u.s && q.HasAttribute(u.a, u.s);
+    values[u.column] = on ? 1.0 : 0.0;
   }
   if (m_var >= 0) {
-    values[m_var] = cost_model.MaxLoad(p);
+    values[m_var] = cost_model.MaxLoad(q);
   }
   return values;
 }
@@ -95,12 +109,30 @@ IlpFormulation BuildIlpFormulation(const CostCoefficients& cost_model,
       options.load_balancing ? 1.0 - cost_model.params().lambda : 1.0;
   LpModel& model = f.model;
 
+  // Folded read pairs: where t reads a (φ_{a,t} = 1) the coloc rows below
+  // force y_{a,s} ≥ x_{t,s}, so u_{t,a,s} = x_{t,s}·y_{a,s} equals x_{t,s}
+  // at every integer point. Their c1 terms go on x's objective and their
+  // c3 terms on x in the load rows.
+  std::vector<double> read_c1(num_t, 0.0);
+  std::vector<double> read_c3(num_t, 0.0);
+  for (int t = 0; t < num_t; ++t) {
+    for (int a : instance.ReadSetOfTransaction(t)) {
+      read_c1[t] += cost_model.c1(a, t);
+      read_c3[t] += cost_model.c3(a, t);
+    }
+  }
+
   // --- variables ---------------------------------------------------------
+  // Under break_symmetry, x_{t,s} = 0 for s > t is fixed by bounds.
   f.x_var.assign(num_t, std::vector<int>(num_s, -1));
   for (int t = 0; t < num_t; ++t) {
+    const double objective = f.lambda * read_c1[t];
     for (int s = 0; s < num_s; ++s) {
+      std::string name = StrFormat("x_t%d_s%d", t, s);
       f.x_var[t][s] =
-          model.AddBinaryVariable(0.0, StrFormat("x_t%d_s%d", t, s));
+          options.break_symmetry && s > t
+              ? model.AddVariable(0.0, 0.0, objective, std::move(name))
+              : model.AddBinaryVariable(objective, std::move(name));
     }
   }
   f.y_var.assign(num_a, std::vector<int>(num_s, -1));
@@ -115,9 +147,10 @@ IlpFormulation BuildIlpFormulation(const CostCoefficients& cost_model,
                                 cost_model.params().lambda, "m");
   }
 
-  // u variables where they carry cost or load.
+  // u variables for the unread pairs, where they carry cost or load.
   for (int t = 0; t < num_t; ++t) {
     for (int a : instance.TouchedAttributesOfTransaction(t)) {
+      if (instance.phi(a, t)) continue;  // folded into x_{t,s}
       const double c1 = cost_model.c1(a, t);
       const double c3 = cost_model.c3(a, t);
       const bool in_load = options.load_balancing && c3 != 0.0;
@@ -182,10 +215,13 @@ IlpFormulation BuildIlpFormulation(const CostCoefficients& cost_model,
                           StrFormat("uxy_t%d_a%d_s%d", u.t, u.a, u.s));
     }
   }
-  // Per-site load rows: Σ c3·u + Σ c4·y <= m.
+  // Per-site load rows: Σ c3·x (read pairs) + Σ c3·u + Σ c4·y <= m.
   if (options.load_balancing) {
     for (int s = 0; s < num_s; ++s) {
       std::vector<std::pair<int, double>> terms;
+      for (int t = 0; t < num_t; ++t) {
+        if (read_c3[t] != 0.0) terms.emplace_back(f.x_var[t][s], read_c3[t]);
+      }
       for (const IlpFormulation::UVar& u : f.u_vars) {
         if (u.s != s) continue;
         const double c3 = cost_model.c3(u.a, u.t);
@@ -200,10 +236,21 @@ IlpFormulation BuildIlpFormulation(const CostCoefficients& cost_model,
                           StrFormat("load_s%d", s));
     }
   }
-  // Symmetry cut: transaction 0 on site 0.
-  if (options.break_symmetry && num_t > 0 && num_s > 1) {
-    model.AddConstraint(ConstraintSense::kEqual, 1.0,
-                        {{f.x_var[0][0], 1.0}}, "symmetry_t0_s0");
+  // Sites numbered by first use (the labelling SolveExhaustively's
+  // restricted growth enumerates): x_{t,s} <= Σ_{t'<t} x_{t',s−1}. The
+  // terms for t' < s−1 are fixed to 0 above, so the sum starts at s−1.
+  if (options.break_symmetry) {
+    for (int s = 1; s < num_s; ++s) {
+      for (int t = s; t < num_t; ++t) {
+        std::vector<std::pair<int, double>> terms;
+        terms.emplace_back(f.x_var[t][s], 1.0);
+        for (int prev = s - 1; prev < t; ++prev) {
+          terms.emplace_back(f.x_var[prev][s - 1], -1.0);
+        }
+        model.AddConstraint(ConstraintSense::kLessEqual, 0.0, std::move(terms),
+                            StrFormat("first_use_t%d_s%d", t, s));
+      }
+    }
   }
   return f;
 }

@@ -22,8 +22,11 @@ struct FormulationOptions {
   /// (equivalent to λ = 0).
   bool load_balancing = true;
 
-  /// Pin transaction 0 to site 0. Sites are interchangeable, so this is a
-  /// valid symmetry cut that shrinks the branch & bound tree.
+  /// Number sites by first use: x_{t,s} = 0 for s > t (fixed by bounds) and
+  /// x_{t,s} <= Σ_{t'<t} x_{t',s−1}, so site s opens only after site s−1.
+  /// Sites are interchangeable, so every partitioning keeps a labelling
+  /// that satisfies these rows, and of the k! labellings of its k used
+  /// sites the branch & bound tree keeps one. Off: no symmetry rows.
   bool break_symmetry = true;
 
   /// Emit u-linking rows only in the direction some objective/load term
@@ -36,8 +39,11 @@ struct FormulationOptions {
 /// The linearized QP of §2.3 plus variable maps for solution translation.
 ///
 /// Variables: binaries x[t][s], y[a][s]; continuous u[t][a][s] ∈ [0,1]
-/// created only where they matter (a touched by t and c1 ≠ 0, or c3 ≠ 0
-/// under load balancing); continuous m ≥ 0 when load balancing is on.
+/// created only where they matter (a touched but not read by t, and
+/// c1 ≠ 0, or c3 ≠ 0 under load balancing); continuous m ≥ 0 when load
+/// balancing is on. Read pairs (φ_{a,t} = 1) have no u: their coloc row
+/// y_{a,s} ≥ x_{t,s} makes x·y = x at every integer point, so c1(a,t)
+/// sits on x_{t,s}'s objective and c3(a,t) on x_{t,s} in the load rows.
 /// Linking rows are emitted direction-aware: u ≤ x, u ≤ y only when some
 /// term pushes u up (c1 < 0); u ≥ x + y − 1 only when some term pushes u
 /// down (c1 > 0, or c3 > 0 in a load row) — both when both.
@@ -61,7 +67,8 @@ struct IlpFormulation {
 
   /// Encodes a feasible partitioning as a full model assignment (x, y,
   /// u = x·y, m = max load) for MIP warm starts. When `break_symmetry` is
-  /// set, sites are relabeled so transaction 0 lands on site 0.
+  /// set, sites are first relabelled in order of first use, the one
+  /// labelling the first-use rows admit.
   std::vector<double> EncodePartitioning(const CostCoefficients& cost_model,
                                          const Partitioning& p) const;
 };

@@ -20,6 +20,8 @@ std::vector<int> AddLatencyToFormulation(const CostCoefficients& cost_model,
     u_index[{u.t, u.a, u.s}] = u.column;
   }
   auto ensure_u = [&](int t, int a, int s) {
+    // A read pair's u is folded into x (see IlpFormulation).
+    if (instance.phi(a, t)) return formulation.x_var[t][s];
     auto it = u_index.find({t, a, s});
     if (it != u_index.end()) return it->second;
     const int col =

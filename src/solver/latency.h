@@ -12,8 +12,9 @@ namespace vpart {
 
 /// Adds the ψ_q binaries and their linearized activation constraints to an
 /// existing formulation, and adds p_l·f_q·ψ_q to the objective. Uses the
-/// identity (1−x_{t,s})·y_{a,s} = y_{a,s} − u_{t,a,s}; missing u variables
-/// are created with zero objective and full linking rows.
+/// identity (1−x_{t,s})·y_{a,s} = y_{a,s} − u_{t,a,s}; a read pair uses
+/// x_{t,s} for u (the coloc row makes x·y = x), and any other missing u
+/// is created with zero objective and full linking rows.
 ///
 /// Returns the ψ column per query (-1 for queries that can never transfer).
 std::vector<int> AddLatencyToFormulation(const CostCoefficients& cost_model,

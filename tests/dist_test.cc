@@ -64,6 +64,22 @@ Cluster StartCluster(const char* tag, int num_workers,
   return cluster;
 }
 
+/// Which path answered a subtree request: "dist[N]" when the frontier
+/// shipped N units to workers, "dist(serial)" when the tree closed inside
+/// the coordinator's ExpandFrontier (either may carry a "+groups" suffix).
+/// Asserting it keeps a test on the path it is meant to exercise when a
+/// tighter model shrinks the tree.
+bool AnsweredBy(const AdviseResponse& response, const char* prefix) {
+  return response.result.algorithm_used.rfind(prefix, 0) == 0;
+}
+
+/// rndAt8x15 or rndAt16x15 at 2 sites: trees that still fill the frontier.
+Instance RandomInstance(const char* name) {
+  auto instance = MakeNamedRandomInstance(name);
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  return instance.ok() ? std::move(*instance) : Instance();
+}
+
 CliRequest SubtreeRequest(double time_limit = 60.0) {
   CliRequest cli;
   cli.request.solver = "ilp";
@@ -91,6 +107,9 @@ TEST(DistSubtreeTest, TpccMatchesSingleProcessWithTwoWorkers) {
   EXPECT_TRUE(dist->result.proven_optimal);
   EXPECT_TRUE(dist->certified);
   EXPECT_EQ(dist->solver_used, "dist");
+  // TPC-C@3's tree closes inside the coordinator: no unit ships.
+  EXPECT_TRUE(AnsweredBy(*dist, "dist(serial)"))
+      << dist->result.algorithm_used;
   EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
   cluster.coordinator->Shutdown();
   for (auto& worker : cluster.workers) {
@@ -98,29 +117,31 @@ TEST(DistSubtreeTest, TpccMatchesSingleProcessWithTwoWorkers) {
   }
 }
 
-TEST(DistSubtreeTest, TpccMatchesSingleProcessWithFourWorkers) {
-  const Instance tpcc = MakeTpccInstance();
+TEST(DistSubtreeTest, Random16x15MatchesSingleProcessWithFourWorkers) {
+  const Instance instance = RandomInstance("rndAt16x15");
   CliRequest cli = SubtreeRequest();
+  cli.request.num_sites = 2;
   cli.dist.frontier_units = 12;
-  auto local = Advise(tpcc, cli.request);
+  auto local = Advise(instance, cli.request);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_TRUE(local->result.proven_optimal);
 
   Cluster cluster = StartCluster("t4", /*num_workers=*/4);
   ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
+  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_EQ(dist->result.cost, local->result.cost);
   EXPECT_TRUE(dist->result.proven_optimal);
   EXPECT_TRUE(dist->certified);
+  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
   cluster.coordinator->Shutdown();
 }
 
 TEST(DistSubtreeTest, RandomInstanceMatchesSingleProcess) {
-  auto instance = MakeNamedRandomInstance("rndAt8x15");
-  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  const Instance instance = RandomInstance("rndAt8x15");
   CliRequest cli = SubtreeRequest();
   cli.request.num_sites = 2;
-  auto local = Advise(*instance, cli.request);
+  auto local = Advise(instance, cli.request);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   ASSERT_TRUE(local->result.proven_optimal);
 
@@ -129,29 +150,32 @@ TEST(DistSubtreeTest, RandomInstanceMatchesSingleProcess) {
   // requeued. What sharding costs in time is perfbench's dist.* metrics.
   Cluster cluster = StartCluster("rnd", /*num_workers=*/4);
   ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(*instance, cli);
+  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_EQ(dist->result.cost, local->result.cost);
   EXPECT_TRUE(dist->result.proven_optimal);
   EXPECT_TRUE(dist->certified);
+  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
   EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
   cluster.coordinator->Shutdown();
 }
 
 TEST(DistSubtreeTest, SequentialSessionsReuseTheCluster) {
-  const Instance tpcc = MakeTpccInstance();
+  const Instance instance = RandomInstance("rndAt8x15");
   CliRequest cli = SubtreeRequest();
-  auto local = Advise(tpcc, cli.request);
+  cli.request.num_sites = 2;
+  auto local = Advise(instance, cli.request);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   Cluster cluster = StartCluster("seq", /*num_workers=*/2);
   ASSERT_NE(cluster.coordinator, nullptr);
   for (int round = 0; round < 2; ++round) {
-    auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
+    auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
     ASSERT_TRUE(dist.ok()) << "round " << round << ": "
                            << dist.status().ToString();
     EXPECT_EQ(dist->result.cost, local->result.cost);
     EXPECT_TRUE(dist->result.proven_optimal);
+    EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
   }
   cluster.coordinator->Shutdown();
 }
@@ -185,10 +209,11 @@ TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
 }
 
 TEST(DistFailureTest, WorkerCrashMidSessionRequeuesAndStillCertifies) {
-  const Instance tpcc = MakeTpccInstance();
+  const Instance instance = RandomInstance("rndAt8x15");
   CliRequest cli = SubtreeRequest();
+  cli.request.num_sites = 2;
   cli.dist.frontier_units = 8;  // enough units that the crash strands some
-  auto local = Advise(tpcc, cli.request);
+  auto local = Advise(instance, cli.request);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   // Worker 0 drops its connection after one unit result — a crash as far
@@ -198,11 +223,12 @@ TEST(DistFailureTest, WorkerCrashMidSessionRequeuesAndStillCertifies) {
   crashy.fail_after_units = 1;
   Cluster cluster = StartCluster("kill", /*num_workers=*/2, crashy);
   ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
+  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_EQ(dist->result.cost, local->result.cost);
   EXPECT_TRUE(dist->result.proven_optimal);
   EXPECT_TRUE(dist->certified);
+  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
   EXPECT_GT(cluster.coordinator->requeued_total(), 0);
   cluster.coordinator->Shutdown();
 }
@@ -240,10 +266,11 @@ TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
   if (::access("./vpart_cli", X_OK) != 0) {
     GTEST_SKIP() << "vpart_cli not found in the working directory";
   }
-  const Instance tpcc = MakeTpccInstance();
+  const Instance instance = RandomInstance("rndAt8x15");
   CliRequest cli = SubtreeRequest();
+  cli.request.num_sites = 2;
   cli.dist.frontier_units = 8;
-  auto local = Advise(tpcc, cli.request);
+  auto local = Advise(instance, cli.request);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   DistCoordinator::Options options;
@@ -264,12 +291,13 @@ TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     ::kill(pids[0], SIGKILL);
   });
-  auto dist = coordinator->AdviseDistributed(tpcc, cli);
+  auto dist = coordinator->AdviseDistributed(instance, cli);
   killer.join();
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_EQ(dist->result.cost, local->result.cost);
   EXPECT_TRUE(dist->result.proven_optimal);
   EXPECT_TRUE(dist->certified);
+  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
   EXPECT_EQ(coordinator->usable_workers(), 1);
   coordinator->Shutdown();
 }

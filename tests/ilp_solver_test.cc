@@ -10,7 +10,8 @@
 namespace vpart {
 namespace {
 
-Instance SplitInstance() {
+// T0 reads x, T1 reads y; with `t1_writes_x`, T1 also writes x.
+Instance SplitInstance(bool t1_writes_x = false) {
   InstanceBuilder builder("split");
   int r = builder.AddTable("R");
   int s = builder.AddTable("S");
@@ -20,34 +21,58 @@ Instance SplitInstance() {
   int t1 = builder.AddTransaction("T1");
   builder.AddQuery(t0, "q0", QueryKind::kRead, 1.0, {x}, {{r, 1.0}});
   builder.AddQuery(t1, "q1", QueryKind::kRead, 1.0, {y}, {{s, 1.0}});
+  if (t1_writes_x) {
+    builder.AddQuery(t1, "w1", QueryKind::kWrite, 1.0, {x}, {{r, 1.0}});
+  }
   auto instance = builder.Build();
   EXPECT_TRUE(instance.ok());
   return std::move(instance.value());
 }
 
 TEST(FormulationTest, VariableAndConstraintShape) {
-  Instance instance = SplitInstance();
+  Instance instance = SplitInstance(/*t1_writes_x=*/true);
   CostModel model(&instance, {.p = 8, .lambda = 0.1});
   FormulationOptions options;
   options.num_sites = 2;
   IlpFormulation f = BuildIlpFormulation(model, options);
 
-  // x: 2 txns x 2 sites; y: 2 attrs x 2 sites; m; u only where c1/c3 != 0:
-  // each transaction touches exactly its own table's attribute.
+  // x: 2 txns x 2 sites; y: 2 attrs x 2 sites; m. The read pairs (T0, x)
+  // and (T1, y) have no u: λ·c1 sits on x's objective and c3 on x in the
+  // load rows. Only the write-only pair (T1, x) keeps a u per site.
   EXPECT_EQ(f.x_var.size(), 2u);
   EXPECT_EQ(f.y_var.size(), 2u);
   EXPECT_GE(f.m_var, 0);
-  EXPECT_EQ(f.u_vars.size(), 4u);  // 2 (t,a) pairs x 2 sites
-  // All binaries are flagged integer; u and m are continuous.
+  ASSERT_EQ(f.u_vars.size(), 2u);  // 1 (t,a) pair x 2 sites
+  for (const auto& u : f.u_vars) {
+    EXPECT_EQ(u.t, 1);
+    EXPECT_EQ(u.a, 0);
+    EXPECT_FALSE(f.model.variable(u.column).is_integer);
+    EXPECT_EQ(f.model.variable(u.column).objective,
+              f.lambda * model.c1(0, 1));
+  }
   for (int t = 0; t < 2; ++t) {
     for (int s = 0; s < 2; ++s) {
-      EXPECT_TRUE(f.model.variable(f.x_var[t][s]).is_integer);
+      const auto& x = f.model.variable(f.x_var[t][s]);
+      EXPECT_EQ(x.objective, f.lambda * model.c1(t, t)) << t << "," << s;
       EXPECT_TRUE(f.model.variable(f.y_var[t][s]).is_integer);
     }
   }
-  for (const auto& u : f.u_vars) {
-    EXPECT_FALSE(f.model.variable(u.column).is_integer);
+  bool x_in_load = false;
+  for (const auto& row : f.model.constraints()) {
+    if (row.name != "load_s1") continue;
+    for (const auto& [column, coefficient] : row.terms) {
+      if (column != f.x_var[1][1]) continue;
+      x_in_load = true;
+      EXPECT_EQ(coefficient, model.c3(1, 1));
+    }
   }
+  EXPECT_TRUE(x_in_load);
+  // Sites are numbered by first use: T0 opens site 0, so x_{0,1} is fixed
+  // to 0 by its bounds; the other x columns are binaries.
+  EXPECT_EQ(f.model.variable(f.x_var[0][1]).upper, 0.0);
+  EXPECT_TRUE(f.model.variable(f.x_var[0][0]).is_integer);
+  EXPECT_TRUE(f.model.variable(f.x_var[1][0]).is_integer);
+  EXPECT_TRUE(f.model.variable(f.x_var[1][1]).is_integer);
   EXPECT_FALSE(f.model.variable(f.m_var).is_integer);
 }
 
@@ -78,16 +103,38 @@ TEST(FormulationTest, SymmetryBreakingRelabelsWarmStart) {
   Instance instance = SplitInstance();
   CostModel model(&instance, {.p = 8, .lambda = 0.1});
   FormulationOptions options;
-  options.num_sites = 2;
+  options.num_sites = 3;
+  options.break_symmetry = false;
+  IlpFormulation unbroken = BuildIlpFormulation(model, options);
   options.break_symmetry = true;
   IlpFormulation f = BuildIlpFormulation(model, options);
-  Partitioning p(2, 2, 2);
-  p.AssignTransaction(0, 1);  // violates the t0->s0 cut until relabeled
+
+  // Labels out of first-use order: T0 on site 2, T1 on site 0, and a
+  // replica of y on the unused site 1.
+  Partitioning p(2, 2, 3);
+  p.AssignTransaction(0, 2);
   p.AssignTransaction(1, 0);
-  p.PlaceAttribute(0, 1);
+  p.PlaceAttribute(0, 2);
   p.PlaceAttribute(1, 0);
+  p.PlaceAttribute(1, 1);
+  // Both models share their column layout; the first-use rows reject the
+  // raw labelling, and the relabelled encoding satisfies them.
+  EXPECT_FALSE(
+      f.model.CheckFeasible(unbroken.EncodePartitioning(model, p), 1e-6)
+          .ok());
   std::vector<double> encoded = f.EncodePartitioning(model, p);
   EXPECT_TRUE(f.model.CheckFeasible(encoded, 1e-6).ok());
+  EXPECT_NEAR(f.model.EvaluateObjective(encoded),
+              model.ScalarizedObjective(p), 1e-9);
+
+  // Sites in order of first use (T0 → 0, T1 → 1), then the unused site.
+  Partitioning relabelled(2, 2, 3);
+  relabelled.AssignTransaction(0, 0);
+  relabelled.AssignTransaction(1, 1);
+  relabelled.PlaceAttribute(0, 0);
+  relabelled.PlaceAttribute(1, 1);
+  relabelled.PlaceAttribute(1, 2);
+  EXPECT_TRUE(f.ExtractPartitioning(encoded) == relabelled);
 }
 
 TEST(IlpSolverTest, SolvesTheObviousSplitOptimally) {

@@ -8,9 +8,12 @@ namespace vpart {
 namespace {
 
 /// One writer transaction, one read-only transaction on another table.
+/// Build(true) also lets the writer read the attribute it writes.
 class LatencyFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Build(/*writer_reads=*/false); }
+
+  void Build(bool writer_reads) {
     InstanceBuilder builder("lat");
     int r = builder.AddTable("R");
     int s = builder.AddTable("S");
@@ -22,6 +25,9 @@ class LatencyFixture : public ::testing::Test {
                            {{r, 1.0}});
     rq_ = builder.AddQuery(t1_, "r", QueryKind::kRead, 1.0, {y_},
                            {{s, 1.0}});
+    if (writer_reads) {
+      builder.AddQuery(t0_, "wr", QueryKind::kRead, 2.0, {x_}, {{r, 1.0}});
+    }
     auto instance = builder.Build();
     ASSERT_TRUE(instance.ok());
     instance_ = std::move(instance.value());
@@ -108,6 +114,41 @@ TEST_F(LatencyFixture, FormulationPsiForcedByRemoteReplica) {
   MipResult result = SolveMip(f.model, mip);
   ASSERT_TRUE(result.has_incumbent());
   EXPECT_NEAR(result.values[psi_var[wq_]], 1.0, 1e-6);
+}
+
+TEST_F(LatencyFixture, ReadPairOfTheWriterUsesXInsteadOfAColumn) {
+  // The writer reads x too, so (Writer, x) is a read pair: its u is x
+  // itself (the coloc row makes x·y = x) and no ul_ column is built.
+  Build(/*writer_reads=*/true);
+  CostModel model(&instance_, {.p = 8, .lambda = 0.0});
+  FormulationOptions options;
+  options.num_sites = 2;
+  options.load_balancing = false;
+  options.break_symmetry = false;
+  for (const bool remote_replica : {false, true}) {
+    SCOPED_TRACE(remote_replica ? "x on both sites" : "free placement");
+    IlpFormulation f = BuildIlpFormulation(model, options);
+    const int columns = f.model.num_variables();
+    std::vector<int> psi_var = AddLatencyToFormulation(model, 5.0, f);
+    ASSERT_GE(psi_var[wq_], 0);
+    EXPECT_EQ(f.model.num_variables(), columns + 1);  // ψ only
+    for (const LpModel::Variable& v : f.model.variables()) {
+      EXPECT_NE(v.name.rfind("ul_", 0), 0u) << v.name;
+    }
+    if (remote_replica) {
+      for (int s = 0; s < 2; ++s) {
+        f.model.AddConstraint(ConstraintSense::kEqual, 1.0,
+                              {{f.y_var[x_][s], 1.0}});
+      }
+    }
+    MipOptions mip;
+    mip.relative_gap = 0;
+    MipResult result = SolveMip(f.model, mip);
+    ASSERT_TRUE(result.has_incumbent());
+    auto psi = ComputePsi(instance_, f.ExtractPartitioning(result.values));
+    EXPECT_EQ(psi[wq_], remote_replica ? 1 : 0);
+    EXPECT_NEAR(result.values[psi_var[wq_]], psi[wq_], 1e-6);
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "cost/cost_model.h"
 #include "instances/random_instance.h"
@@ -14,6 +17,7 @@
 #include "solver/ilp_solver.h"
 #include "solver/latency.h"
 #include "solver/sa_solver.h"
+#include "util/rng.h"
 
 namespace vpart {
 namespace {
@@ -65,7 +69,7 @@ TEST_P(SolverAgreementTest, IlpMatchesExhaustiveAndBoundsSa) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, SolverAgreementTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),   // seed
-                       ::testing::Values(2, 3),          // sites
+                       ::testing::Values(2, 3, 4),       // sites
                        ::testing::Values(0, 25, 60)),    // update %
     [](const auto& info) {
       return "seed" + std::to_string(std::get<0>(info.param)) + "_sites" +
@@ -153,44 +157,125 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SaPropertyTest,
 
 // --- formulation integrity across option combinations ---------------------
 
+// Sites appear in order of first use: each transaction's site is at most
+// one past the highest site any earlier transaction uses.
+bool InFirstUseOrder(const Partitioning& p) {
+  int used = 0;
+  for (int t = 0; t < p.num_transactions(); ++t) {
+    if (p.SiteOfTransaction(t) > used) return false;
+    used = std::max(used, p.SiteOfTransaction(t) + 1);
+  }
+  return true;
+}
+
 class FormulationPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, bool, bool, bool>> {};
 
+// Every partitioning encodes to a feasible point of eq. (7) whose model
+// objective is the cost model's, with or without the first-use rows: the
+// read-pair fold and the site numbering both hold at every integer point.
 TEST_P(FormulationPropertyTest, EncodingsAreFeasibleAndConsistent) {
   const auto [sites, replication, load_balancing, directional] = GetParam();
-  Instance instance = SmallInstance(42, 30);
+  RandomInstanceParams params;
+  params.num_transactions = 12;
+  params.num_tables = 4;
+  params.max_attributes_per_table = 5;
+  params.update_percent = 30;
+  params.seed = 42;
+  Instance instance = MakeRandomInstance(params);
   CostModel model(&instance, {.p = 8, .lambda = 0.1});
+  const int num_t = instance.num_transactions();
+  const int num_a = instance.num_attributes();
 
-  FormulationOptions options;
-  options.num_sites = sites;
-  options.allow_replication = replication;
-  options.load_balancing = load_balancing;
-  options.direction_aware_links = directional;
-  options.break_symmetry = false;
-  IlpFormulation f = BuildIlpFormulation(model, options);
+  // Without replication, transactions that share a read attribute share a
+  // site: label each such group by its lowest member (4 groups here).
+  std::vector<int> group(num_t);
+  std::iota(group.begin(), group.end(), 0);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int a = 0; a < num_a; ++a) {
+      int low = num_t;
+      for (int t = 0; t < num_t; ++t) {
+        if (instance.phi(a, t)) low = std::min(low, group[t]);
+      }
+      for (int t = 0; t < num_t; ++t) {
+        if (instance.phi(a, t) && group[t] != low) {
+          group[t] = low;
+          changed = true;
+        }
+      }
+    }
+  }
 
-  // The single-site baseline is always encodable and feasible.
-  Partitioning baseline = SingleSiteBaseline(instance, sites);
-  std::vector<double> encoded = f.EncodePartitioning(model, baseline);
-  ASSERT_TRUE(f.model.CheckFeasible(encoded, 1e-6).ok());
-  EXPECT_TRUE(f.ExtractPartitioning(encoded) == baseline);
+  // The single-site baseline, then random x (one site per group when
+  // disjoint) with its optimal y, plus random extra replicas when
+  // replication is allowed.
+  std::vector<Partitioning> encodings = {SingleSiteBaseline(instance, sites)};
+  Rng rng(7 * sites + 1);
+  while (encodings.size() < 18) {
+    std::vector<int> site(num_t);
+    for (int& s : site) s = static_cast<int>(rng.NextBounded(sites));
+    Partitioning p(num_t, num_a, sites);
+    for (int t = 0; t < num_t; ++t) {
+      p.AssignTransaction(t, replication ? site[t] : site[group[t]]);
+    }
+    ASSERT_TRUE(ComputeOptimalY(model, p, replication));
+    if (replication) {
+      for (int a = 0; a < num_a; ++a) {
+        if (rng.NextBool(0.2)) {
+          p.PlaceAttribute(a, static_cast<int>(rng.NextBounded(sites)));
+        }
+      }
+    }
+    ASSERT_TRUE(ValidatePartitioning(instance, p, !replication).ok());
+    encodings.push_back(std::move(p));
+  }
 
-  // Its model objective matches the cost model's scalarization semantics.
-  const double expected =
-      load_balancing ? model.ScalarizedObjective(baseline)
-                     : model.Objective(baseline);
-  EXPECT_NEAR(f.model.EvaluateObjective(encoded), expected,
-              1e-9 * (1 + std::abs(expected)));
+  for (const bool symmetry : {false, true}) {
+    SCOPED_TRACE(symmetry ? "first-use rows" : "no symmetry rows");
+    FormulationOptions options;
+    options.num_sites = sites;
+    options.allow_replication = replication;
+    options.load_balancing = load_balancing;
+    options.direction_aware_links = directional;
+    options.break_symmetry = symmetry;
+    IlpFormulation f = BuildIlpFormulation(model, options);
+    // The LP relaxation is a valid lower bound for every encoded solution.
+    LpResult relaxation = SolveLp(f.model);
+    ASSERT_EQ(relaxation.status, LpStatus::kOptimal);
 
-  // The LP relaxation is a valid lower bound for the encoded solution.
-  LpResult relaxation = SolveLp(f.model);
-  ASSERT_EQ(relaxation.status, LpStatus::kOptimal);
-  EXPECT_LE(relaxation.objective, expected + 1e-6 * (1 + std::abs(expected)));
+    for (const Partitioning& p : encodings) {
+      std::vector<double> encoded = f.EncodePartitioning(model, p);
+      ASSERT_TRUE(f.model.CheckFeasible(encoded, 1e-6).ok());
+      // Without the rows the encoding keeps p's labels; with them it is
+      // p relabelled in order of first use.
+      const Partitioning back = f.ExtractPartitioning(encoded);
+      if (symmetry) {
+        EXPECT_TRUE(InFirstUseOrder(back));
+        for (int t = 0; t < num_t; ++t) {
+          for (int u = 0; u < t; ++u) {
+            EXPECT_EQ(back.SiteOfTransaction(t) == back.SiteOfTransaction(u),
+                      p.SiteOfTransaction(t) == p.SiteOfTransaction(u));
+          }
+        }
+      } else {
+        EXPECT_TRUE(back == p);
+      }
+
+      // Its model objective matches the cost model's scalarization.
+      const double expected = load_balancing ? model.ScalarizedObjective(p)
+                                             : model.Objective(p);
+      EXPECT_NEAR(f.model.EvaluateObjective(encoded), expected,
+                  1e-9 * (1 + std::abs(expected)));
+      EXPECT_LE(relaxation.objective,
+                expected + 1e-6 * (1 + std::abs(expected)));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, FormulationPropertyTest,
-    ::testing::Combine(::testing::Values(1, 2, 3),     // sites
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),  // sites
                        ::testing::Bool(),               // replication
                        ::testing::Bool(),               // load balancing
                        ::testing::Bool()));             // directional links

@@ -121,8 +121,8 @@ TEST_F(TpccGoldenTest, IlpAgreesWithGoldenOptimum) {
 // Warm starting is what makes the eq.-(7) branch & bound cheap: a child
 // node's LP is a dual reoptimization from its parent's basis instead of a
 // two-phase primal from a crash basis. Both searches prove the same
-// optimum (34,705.4 in 3 nodes); the warm one takes 1,317 pivots and 14
-// factorizations, the cold one 3,741 and 37. The time these counts cost is
+// optimum (34,705.4 in 3 nodes); the warm one takes 667 pivots and 8
+// factorizations, the cold one 2,695 and 28. The time these counts cost is
 // perfbench's `proof` lp.us_per_pivot and lp.busy_s.
 TEST_F(TpccGoldenTest, IlpWarmStartProvesTheSameOptimumInHalfThePivots) {
   CostModel model(&instance_, {.p = 8, .lambda = 0.1});
@@ -152,7 +152,8 @@ TEST_F(TpccGoldenTest, IlpWarmStartProvesTheSameOptimumInHalfThePivots) {
 // kernel change that reorders any of them (and with it a pivot choice, a
 // refactorization trigger or a branching decision) moves these counts even
 // when the optimum stays put. They match in Release and in a Debug
-// ASan+UBSan build.
+// ASan+UBSan build. A change to the eq.-(7) model (solver/formulation.cc)
+// moves them too; the costs must not move.
 //
 // Tracing must never steer the search: every obs level does the same work.
 // At `full` the trace records one bnb_node span per node plus the LP
@@ -171,8 +172,8 @@ TEST_F(TpccGoldenTest, IlpProofPivotPathIsPinned) {
   for (const ObsLevel obs : {ObsLevel::kOff, ObsLevel::kBasic,
                              ObsLevel::kFull}) {
     for (const Expected& expected :
-         {Expected{3, kThreeSiteCost, 17, 1093, 18},
-          Expected{4, kFourSiteCost, 53, 2415, 40}}) {
+         {Expected{3, kThreeSiteCost, 3, 482, 7},
+          Expected{4, kFourSiteCost, 3, 510, 7}}) {
       SCOPED_TRACE(std::to_string(expected.sites) + " sites, obs " +
                    ObsLevelName(obs));
       Tracer::Global().Clear();
