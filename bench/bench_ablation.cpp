@@ -54,7 +54,7 @@ IlpOutcome SolveVariant(const Instance& instance, bool grouping,
   IlpSolveResult result = SolveWithIlp(model, options);
 
   IlpOutcome out;
-  out.nodes = result.nodes;
+  out.nodes = result.proof.nodes;
   out.seconds = result.seconds;
   out.rows = shape.model.num_constraints();
   out.cols = shape.model.num_variables();

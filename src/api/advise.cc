@@ -284,12 +284,14 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
 
   response.solver_used = *resolved;
   response.cost_model_used = request.cost_model.backend;
-  response.bnb_nodes = run->bnb_nodes;
-  response.lp_stats = run->lp_stats;
-  response.best_bound = run->best_bound;
-  response.search_exhausted = run->search_exhausted;
-  response.pruned_by_external_bound = run->pruned_by_external_bound;
-  response.root_basis = run->root_basis;
+  // The one place the proof record is flattened into the public response.
+  const SearchProof& proof = run->proof;
+  response.bnb_nodes = proof.nodes;
+  response.lp_stats = proof.lp_stats;
+  response.best_bound = proof.best_bound;
+  response.search_exhausted = proof.search_exhausted;
+  response.pruned_by_external_bound = proof.pruned_by_external_bound;
+  response.root_basis = proof.root_basis;
   if (hooks.user_cancelled != nullptr &&
       hooks.user_cancelled->load(std::memory_order_relaxed)) {
     response.outcome = AdviseOutcome::kCancelled;

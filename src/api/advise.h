@@ -178,8 +178,8 @@ struct AdviseResponse {
   /// solves. Serialized under `telemetry.mip` in the JSON response.
   long bnb_nodes = 0;
   LpSolveStats lp_stats;
-  /// Dual bound and proof provenance behind result.proven_optimal (mirrors
-  /// SolverRun): best_bound is in scalarized (eq. 6) space of the solved
+  /// Dual bound and proof provenance behind result.proven_optimal (these
+  /// and the two fields above flatten SolverRun::proof): best_bound is in scalarized (eq. 6) space of the solved
   /// (possibly attribute-grouped) instance, -inf when no branch & bound
   /// ran. search_exhausted marks a finished tree search (or a complete
   /// exhaustive enumeration); pruned_by_external_bound marks proofs that

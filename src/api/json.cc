@@ -245,6 +245,16 @@ void JsonValue::Set(std::string_view key, JsonValue value) {
   object_.emplace_back(std::string(key), std::move(value));
 }
 
+std::optional<long> JsonInteger(const JsonValue& value, long min, long max) {
+  if (!value.is_number()) return std::nullopt;
+  const double number = value.as_number();
+  if (number != std::floor(number) || number < static_cast<double>(min) ||
+      number > static_cast<double>(max)) {
+    return std::nullopt;
+  }
+  return static_cast<long>(number);
+}
+
 std::string JsonQuote(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);

@@ -2,6 +2,7 @@
 #define VPART_API_JSON_H_
 
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -90,6 +91,15 @@ class JsonValue {
 
 /// Escapes `text` as a JSON string literal (with quotes).
 std::string JsonQuote(std::string_view text);
+
+/// ±2^53: every integer in this range survives the double that carries it.
+inline constexpr long kJsonMaxExactInteger = 9007199254740992L;
+
+/// The integer `value` holds when it is a number with no fractional part
+/// inside [min, max]; nullopt otherwise. Every integer read from untrusted
+/// JSON goes through here: casting any other double to an integer type is
+/// undefined (out of range) or lossy (a fraction).
+std::optional<long> JsonInteger(const JsonValue& value, long min, long max);
 
 }  // namespace vpart
 

@@ -1,6 +1,7 @@
 #include "api/request_json.h"
 
-#include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -41,29 +42,23 @@ class ObjectReader {
   Status ReadInt(const std::string& key, int* out) {
     const JsonValue* value = Find(key);
     if (value == nullptr) return Status::Ok();
-    // Range-check before the cast: out-of-range double->int is UB, and a
-    // wrapped value could sneak past later semantic validation.
-    if (!value->is_number() ||
-        value->as_number() != std::floor(value->as_number()) ||
-        value->as_number() < -2147483648.0 ||
-        value->as_number() > 2147483647.0) {
-      return TypeError(key, "a 32-bit integer");
-    }
-    *out = static_cast<int>(value->as_number());
+    // Range-check before the cast: a wrapped value could sneak past later
+    // semantic validation.
+    const std::optional<long> n =
+        JsonInteger(*value, std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max());
+    if (!n.has_value()) return TypeError(key, "a 32-bit integer");
+    *out = static_cast<int>(*n);
     return Status::Ok();
   }
 
   Status ReadLong(const std::string& key, long* out) {
     const JsonValue* value = Find(key);
     if (value == nullptr) return Status::Ok();
-    // Bound by 2^53: exactly representable in the double that carried it.
-    if (!value->is_number() ||
-        value->as_number() != std::floor(value->as_number()) ||
-        value->as_number() < -9007199254740992.0 ||
-        value->as_number() > 9007199254740992.0) {
-      return TypeError(key, "an integer");
-    }
-    *out = static_cast<long>(value->as_number());
+    const std::optional<long> n =
+        JsonInteger(*value, -kJsonMaxExactInteger, kJsonMaxExactInteger);
+    if (!n.has_value()) return TypeError(key, "an integer");
+    *out = *n;
     return Status::Ok();
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -22,13 +21,6 @@ namespace vpart {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Relative gap in percent between an incumbent and a proven bound.
-double GapPercent(double incumbent, double bound) {
-  if (!std::isfinite(incumbent) || !std::isfinite(bound)) return 100.0;
-  const double denom = std::max(std::abs(incumbent), 1e-9);
-  return 100.0 * std::max(0.0, incumbent - bound) / denom;
-}
 
 // ---------------------------------------------------------------------------
 // Built-in solver adapters. Each reads its own option block, threads the
@@ -98,7 +90,7 @@ class ExhaustiveAdapter : public Solver {
     run.algorithm = kSolverExhaustive;
     run.proven_optimal = result.exact;
     // The proof is by complete enumeration, not a dual bound.
-    run.search_exhausted = result.exact;
+    run.proof.search_exhausted = result.exact;
     return run;
   }
 };
@@ -251,16 +243,11 @@ class IlpAdapter : public Solver {
     std::optional<Span> bnb_span;
     bnb_span.emplace("branch_and_bound", "solver");
     IlpSolveResult result = SolveWithIlp(cost_model, ilp);
-    bnb_span->AddArg("nodes", result.nodes);
-    bnb_span->AddArg("lp_solves", result.lp_stats.lp_solves);
+    bnb_span->AddArg("nodes", result.proof.nodes);
+    bnb_span->AddArg("lp_solves", result.proof.lp_stats.lp_solves);
     bnb_span.reset();
     SolverRun run;
-    run.bnb_nodes = result.nodes;
-    run.lp_stats = result.lp_stats;
-    run.best_bound = result.best_bound;
-    run.search_exhausted = result.search_exhausted;
-    run.pruned_by_external_bound = result.pruned_by_external_bound;
-    run.root_basis = result.root_basis;
+    run.proof = std::move(result.proof);
     if (result.ok()) {
       run.partitioning = std::move(*result.partitioning);
       run.algorithm = kSolverIlp;
@@ -402,12 +389,7 @@ class PortfolioAdapter : public Solver {
     run.partitioning = std::move(raced->partitioning);
     run.algorithm = "portfolio(" + raced->winner + ")";
     run.proven_optimal = raced->proven_optimal;
-    run.bnb_nodes = raced->ilp_nodes;
-    run.lp_stats = raced->ilp_lp_stats;
-    run.best_bound = raced->ilp_best_bound;
-    run.search_exhausted = raced->ilp_search_exhausted;
-    run.pruned_by_external_bound = raced->ilp_pruned_by_external_bound;
-    run.root_basis = raced->ilp_root_basis;
+    run.proof = std::move(raced->proof);
     return run;
   }
 };

@@ -2,7 +2,6 @@
 #define VPART_API_SOLVER_REGISTRY_H_
 
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +12,7 @@
 #include "api/events.h"
 #include "cost/cost_coefficients.h"
 #include "engine/thread_pool.h"
+#include "mip/branch_and_bound.h"
 #include "util/status.h"
 
 namespace vpart {
@@ -54,24 +54,15 @@ struct SolverRun {
   /// "portfolio(sa)", ...). Defaults to the registry name when empty.
   std::string algorithm;
   bool proven_optimal = false;
-  /// Branch & bound telemetry when the solver ran one (the ilp solver, the
-  /// portfolio's ILP lane); zeros otherwise.
-  long bnb_nodes = 0;
-  LpSolveStats lp_stats;
-  /// Dual bound and proof provenance of the branch & bound behind a
-  /// proven_optimal claim (mirrors IlpSolveResult / the portfolio's ILP
-  /// lane). best_bound is in scalarized (eq. 6) space of the solve
-  /// instance and stays -inf for solvers that prove optimality without a
-  /// bound (exhaustive enumeration) or don't prove it at all. The
-  /// SolutionCertifier's bound audit cross-checks these against the
-  /// incumbent.
-  double best_bound = -std::numeric_limits<double>::infinity();
-  bool search_exhausted = false;
-  bool pruned_by_external_bound = false;
-  /// Terminal root-relaxation basis when a branch & bound ran (the ilp
-  /// solver, the portfolio's ILP lane); null otherwise. Flows out through
-  /// AdviseResponse::root_basis for the serve layer's cache.
-  std::shared_ptr<const Basis> root_basis;
+  /// Proof record of the branch & bound behind a proven_optimal claim (the
+  /// ilp solver, the portfolio's ILP lane, the dist coordinator). Its
+  /// best_bound is in scalarized (eq. 6) space of the solve instance and
+  /// stays -inf for solvers that prove optimality without a bound
+  /// (exhaustive enumeration only sets search_exhausted) or don't prove it
+  /// at all. AdviseResponse flattens it; the SolutionCertifier's bound
+  /// audit cross-checks it against the incumbent, and the serve layer
+  /// caches its root basis.
+  SearchProof proof;
 };
 
 /// Interface every registered solver implements. Solve() is called with the

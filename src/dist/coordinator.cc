@@ -35,13 +35,6 @@ std::string SelfExePath() {
   return std::string(buffer);
 }
 
-long LongField(const JsonValue& message, const char* key, long fallback) {
-  const JsonValue* value = message.Find(key);
-  return (value != nullptr && value->is_number())
-             ? static_cast<long>(value->as_number())
-             : fallback;
-}
-
 Counter& RequeuesTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "vpart_dist_requeues_total",
@@ -189,8 +182,6 @@ void DistCoordinator::ReaderLoop(WorkerState* worker) {
     worker->last_seen = std::chrono::steady_clock::now();
     if (type == kDistMsgHello) {
       worker->ready = true;
-      worker->reported_pid =
-          static_cast<pid_t>(LongField(*message, "pid", -1));
       workers_cv_.notify_all();
       PumpLocked();
     } else if (type == kDistMsgHeartbeat) {
@@ -297,7 +288,9 @@ void DistCoordinator::BroadcastIncumbentLocked(const WorkerState* from) {
 void DistCoordinator::HandleIncumbentLocked(WorkerState* worker,
                                             const JsonValue& message) {
   if (session_ == nullptr || !session_->active || !session_->subtree) return;
-  if (LongField(message, "session", -1) != session_->serial) return;
+  if (LongField(message, "session", -1).value_or(-1) != session_->serial) {
+    return;
+  }
   const JsonValue* objective = message.Find("objective");
   const JsonValue* values = message.Find("values");
   if (objective == nullptr || !objective->is_number() || values == nullptr ||
@@ -321,10 +314,11 @@ void DistCoordinator::HandleIncumbentLocked(WorkerState* worker,
 void DistCoordinator::HandleResultLocked(WorkerState* worker,
                                          const std::string& type,
                                          const JsonValue& message) {
-  const long id = LongField(message, "id", -1);
+  // A malformed id or session matches no unit or session.
+  const long id = LongField(message, "id", -1).value_or(-1);
   if (worker->current_unit == id) worker->current_unit = -1;
   if (session_ == nullptr || !session_->active ||
-      LongField(message, "session", -1) != session_->serial) {
+      LongField(message, "session", -1).value_or(-1) != session_->serial) {
     PumpLocked();  // stale result from an earlier session; worker is idle
     return;
   }
@@ -484,11 +478,11 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
       ExpandFrontier(formulation.model, expand, target);
   span.AddArg("frontier_units", static_cast<long>(expansion.units.size()));
 
-  MipResult& root = expansion.root;
-  long nodes = root.nodes;
-  LpSolveStats stats = root.lp_stats;
+  const MipResult& root = expansion.root;
+  SolverRun run;
+  SearchProof& proof = run.proof;
+  proof = root.proof;
   bool all_exhausted = expansion.clean;
-  bool any_external = root.pruned_by_external_bound;
   bool have_best = root.has_incumbent();
   double best_objective = have_best ? root.objective : kInf;
   std::vector<double> best_values =
@@ -498,9 +492,9 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
   bool bound_valid = true;  // every contributing bound was finite
 
   if (expansion.units.empty()) {
-    all_exhausted = expansion.clean && root.search_exhausted;
-    if (std::isfinite(root.best_bound)) {
-      bound = std::min(bound, root.best_bound);
+    all_exhausted = expansion.clean && root.proof.search_exhausted;
+    if (std::isfinite(root.proof.best_bound)) {
+      bound = std::min(bound, root.proof.best_bound);
     }
   } else {
     CliRequest job_cli;
@@ -558,10 +552,11 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
       StatusOr<MipResult> decoded =
           DecodeMipResult(mip != nullptr ? *mip : JsonValue());
       VPART_RETURN_IF_ERROR(decoded.status());
-      nodes += decoded->nodes;
-      stats.Add(decoded->lp_stats);
-      all_exhausted = all_exhausted && decoded->search_exhausted;
-      any_external = any_external || decoded->pruned_by_external_bound;
+      proof.nodes += decoded->proof.nodes;
+      proof.lp_stats.Add(decoded->proof.lp_stats);
+      all_exhausted = all_exhausted && decoded->proof.search_exhausted;
+      proof.pruned_by_external_bound = proof.pruned_by_external_bound ||
+                                       decoded->proof.pruned_by_external_bound;
       if (decoded->has_incumbent() &&
           (!have_best || decoded->objective < best_objective)) {
         have_best = true;
@@ -571,9 +566,9 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
       // kInfeasible marks an empty (or globally dominated) subtree: bound
       // +inf, nothing to fold into the global minimum.
       if (decoded->status == MipStatus::kInfeasible) continue;
-      if (std::isfinite(decoded->best_bound)) {
-        bound = std::min(bound, decoded->best_bound);
-      } else if (!decoded->search_exhausted) {
+      if (std::isfinite(decoded->proof.best_bound)) {
+        bound = std::min(bound, decoded->proof.best_bound);
+      } else if (!decoded->proof.search_exhausted) {
         if (std::isfinite(shipped_bound)) {
           bound = std::min(bound, shipped_bound);
         } else {
@@ -583,21 +578,14 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
     }
   }
 
-  SolverRun run;
-  run.bnb_nodes = nodes;
-  run.lp_stats = stats;
-  run.pruned_by_external_bound = any_external;
-  run.search_exhausted = all_exhausted && session_completed;
-  run.root_basis = root.root_basis;
-  const bool proven = run.search_exhausted && have_best;
+  proof.search_exhausted = all_exhausted && session_completed;
+  const bool proven = proof.search_exhausted && have_best;
   if (bound < kInf && bound_valid) {
-    run.best_bound = proven ? std::min(bound, best_objective) : bound;
+    proof.best_bound = proven ? std::min(bound, best_objective) : bound;
   } else if (proven) {
     // Every subtree closed without a finite bound (infeasible or pruned by
     // the global incumbent): the incumbent is its own proof.
-    run.best_bound = best_objective;
-  } else {
-    run.best_bound = root.best_bound;
+    proof.best_bound = best_objective;
   }
 
   if (have_best) {

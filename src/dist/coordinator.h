@@ -117,7 +117,6 @@ class DistCoordinator {
     bool ready = false;  // hello received
     long current_unit = -1;
     long job_serial = -1;  // session whose job this worker holds
-    pid_t reported_pid = -1;
     std::chrono::steady_clock::time_point last_seen;
   };
 

@@ -1,6 +1,8 @@
 #include "dist/wire_messages.h"
 
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "cost/partitioning_io.h"
@@ -23,19 +25,50 @@ double NumberOr(const JsonValue& object, const char* key, double fallback) {
                                                   : fallback;
 }
 
-long LongOr(const JsonValue& object, const char* key, long fallback) {
-  const JsonValue* value = object.Find(key);
-  return (value != nullptr && value->is_number())
-             ? static_cast<long>(value->as_number())
-             : fallback;
-}
-
 bool BoolOr(const JsonValue& object, const char* key, bool fallback) {
   const JsonValue* value = object.Find(key);
   return (value != nullptr && value->is_bool()) ? value->as_bool() : fallback;
 }
 
+/// LpSolveStats' counters in wire order; lp_seconds follows them.
+constexpr std::pair<const char*, long LpSolveStats::*> kLpCounters[] = {
+    {"lp_solves", &LpSolveStats::lp_solves},
+    {"warm_starts", &LpSolveStats::warm_starts},
+    {"cold_starts", &LpSolveStats::cold_starts},
+    {"warm_start_failures", &LpSolveStats::warm_start_failures},
+    {"primal_iterations", &LpSolveStats::primal_iterations},
+    {"phase1_iterations", &LpSolveStats::phase1_iterations},
+    {"dual_iterations", &LpSolveStats::dual_iterations},
+    {"factorizations", &LpSolveStats::factorizations},
+    {"ft_updates", &LpSolveStats::ft_updates},
+    {"bound_flips", &LpSolveStats::bound_flips},
+    {"se_resets", &LpSolveStats::se_resets},
+    {"refactor_updates", &LpSolveStats::refactor_updates},
+    {"refactor_fill", &LpSolveStats::refactor_fill},
+    {"refactor_stability", &LpSolveStats::refactor_stability},
+    {"audits_run", &LpSolveStats::audits_run},
+    {"audit_failures", &LpSolveStats::audit_failures},
+};
+
+/// A column or row index: an integer in [0, INT_MAX].
+std::optional<long> IndexValue(const JsonValue& value) {
+  return JsonInteger(value, 0, std::numeric_limits<int>::max());
+}
+
 }  // namespace
+
+StatusOr<long> LongField(const JsonValue& message, const char* key,
+                         long fallback) {
+  const JsonValue* value = message.Find(key);
+  if (value == nullptr) return fallback;
+  const std::optional<long> n =
+      JsonInteger(*value, -kJsonMaxExactInteger, kJsonMaxExactInteger);
+  if (!n.has_value()) {
+    return InvalidArgumentError(std::string("dist message: \"") + key +
+                                "\" must be an integer");
+  }
+  return *n;
+}
 
 std::string DistMessageType(const JsonValue& message) {
   if (!message.is_object()) return "";
@@ -82,10 +115,12 @@ StatusOr<std::shared_ptr<const Basis>> DecodeBasis(const JsonValue& value) {
   std::vector<int> basic_of_row;
   basic_of_row.reserve(rows->as_array().size());
   for (const JsonValue& row : rows->as_array()) {
-    if (!row.is_number()) {
-      return InvalidArgumentError("dist message: basis rows must be numbers");
+    const std::optional<long> column = IndexValue(row);
+    if (!column.has_value()) {
+      return InvalidArgumentError(
+          "dist message: basis rows must be column indices");
     }
-    basic_of_row.push_back(static_cast<int>(row.as_number()));
+    basic_of_row.push_back(static_cast<int>(*column));
   }
   std::vector<uint8_t> state;
   state.reserve(states->as_string().size());
@@ -120,17 +155,21 @@ StatusOr<std::vector<BoundFix>> DecodeFixings(const JsonValue& value) {
   fixings.reserve(value.as_array().size());
   for (const JsonValue& entry : value.as_array()) {
     if (!entry.is_array() || entry.as_array().size() != 3 ||
-        !entry.as_array()[0].is_number() ||
         !entry.as_array()[1].is_number() ||
         !entry.as_array()[2].is_number()) {
       return InvalidArgumentError(
           "dist message: each fixing must be [column, lower, upper]");
     }
+    const std::optional<long> column = IndexValue(entry.as_array()[0]);
+    if (!column.has_value()) {
+      return InvalidArgumentError(
+          "dist message: fixing column must be a column index");
+    }
     BoundFix fix;
-    fix.column = static_cast<int>(entry.as_array()[0].as_number());
+    fix.column = static_cast<int>(*column);
     fix.lower = entry.as_array()[1].as_number();
     fix.upper = entry.as_array()[2].as_number();
-    if (fix.column < 0 || fix.lower > fix.upper) {
+    if (fix.lower > fix.upper) {
       return InvalidArgumentError("dist message: fixing out of range");
     }
     fixings.push_back(fix);
@@ -140,22 +179,7 @@ StatusOr<std::vector<BoundFix>> DecodeFixings(const JsonValue& value) {
 
 JsonValue EncodeLpStats(const LpSolveStats& stats) {
   JsonValue out = JsonValue::MakeObject();
-  out.Set("lp_solves", stats.lp_solves);
-  out.Set("warm_starts", stats.warm_starts);
-  out.Set("cold_starts", stats.cold_starts);
-  out.Set("warm_start_failures", stats.warm_start_failures);
-  out.Set("primal_iterations", stats.primal_iterations);
-  out.Set("phase1_iterations", stats.phase1_iterations);
-  out.Set("dual_iterations", stats.dual_iterations);
-  out.Set("factorizations", stats.factorizations);
-  out.Set("ft_updates", stats.ft_updates);
-  out.Set("bound_flips", stats.bound_flips);
-  out.Set("se_resets", stats.se_resets);
-  out.Set("refactor_updates", stats.refactor_updates);
-  out.Set("refactor_fill", stats.refactor_fill);
-  out.Set("refactor_stability", stats.refactor_stability);
-  out.Set("audits_run", stats.audits_run);
-  out.Set("audit_failures", stats.audit_failures);
+  for (const auto& [key, counter] : kLpCounters) out.Set(key, stats.*counter);
   out.Set("lp_seconds", stats.lp_seconds);
   return out;
 }
@@ -165,22 +189,11 @@ StatusOr<LpSolveStats> DecodeLpStats(const JsonValue& value) {
     return InvalidArgumentError("dist message: lp stats must be an object");
   }
   LpSolveStats stats;
-  stats.lp_solves = LongOr(value, "lp_solves", 0);
-  stats.warm_starts = LongOr(value, "warm_starts", 0);
-  stats.cold_starts = LongOr(value, "cold_starts", 0);
-  stats.warm_start_failures = LongOr(value, "warm_start_failures", 0);
-  stats.primal_iterations = LongOr(value, "primal_iterations", 0);
-  stats.phase1_iterations = LongOr(value, "phase1_iterations", 0);
-  stats.dual_iterations = LongOr(value, "dual_iterations", 0);
-  stats.factorizations = LongOr(value, "factorizations", 0);
-  stats.ft_updates = LongOr(value, "ft_updates", 0);
-  stats.bound_flips = LongOr(value, "bound_flips", 0);
-  stats.se_resets = LongOr(value, "se_resets", 0);
-  stats.refactor_updates = LongOr(value, "refactor_updates", 0);
-  stats.refactor_fill = LongOr(value, "refactor_fill", 0);
-  stats.refactor_stability = LongOr(value, "refactor_stability", 0);
-  stats.audits_run = LongOr(value, "audits_run", 0);
-  stats.audit_failures = LongOr(value, "audit_failures", 0);
+  for (const auto& [key, counter] : kLpCounters) {
+    StatusOr<long> count = LongField(value, key, 0);
+    VPART_RETURN_IF_ERROR(count.status());
+    stats.*counter = *count;
+  }
   stats.lp_seconds = NumberOr(value, "lp_seconds", 0.0);
   return stats;
 }
@@ -194,14 +207,13 @@ JsonValue EncodeMipResult(const MipResult& result) {
     for (double v : result.values) values.Append(v);
     out.Set("values", std::move(values));
   }
-  if (std::isfinite(result.best_bound)) {
-    out.Set("best_bound", result.best_bound);
-  }
-  out.Set("nodes", result.nodes);
-  out.Set("search_exhausted", result.search_exhausted);
-  out.Set("pruned_by_external_bound", result.pruned_by_external_bound);
+  const SearchProof& proof = result.proof;
+  if (std::isfinite(proof.best_bound)) out.Set("best_bound", proof.best_bound);
+  out.Set("nodes", proof.nodes);
+  out.Set("search_exhausted", proof.search_exhausted);
+  out.Set("pruned_by_external_bound", proof.pruned_by_external_bound);
   out.Set("seconds", result.seconds);
-  out.Set("lp", EncodeLpStats(result.lp_stats));
+  out.Set("lp", EncodeLpStats(proof.lp_stats));
   return out;
 }
 
@@ -244,17 +256,19 @@ StatusOr<MipResult> DecodeMipResult(const JsonValue& value) {
       result.values.push_back(v.as_number());
     }
   }
-  result.best_bound = NumberOr(value, "best_bound", -kLpInfinity);
-  result.nodes = LongOr(value, "nodes", 0);
-  result.search_exhausted = BoolOr(value, "search_exhausted", false);
-  result.pruned_by_external_bound =
+  SearchProof& proof = result.proof;
+  proof.best_bound = NumberOr(value, "best_bound", -kLpInfinity);
+  StatusOr<long> nodes = LongField(value, "nodes", 0);
+  VPART_RETURN_IF_ERROR(nodes.status());
+  proof.nodes = *nodes;
+  proof.search_exhausted = BoolOr(value, "search_exhausted", false);
+  proof.pruned_by_external_bound =
       BoolOr(value, "pruned_by_external_bound", false);
   result.seconds = NumberOr(value, "seconds", 0.0);
   if (const JsonValue* lp = value.Find("lp")) {
     StatusOr<LpSolveStats> stats = DecodeLpStats(*lp);
     VPART_RETURN_IF_ERROR(stats.status());
-    result.lp_stats = *stats;
-    result.lp_iterations = result.lp_stats.total_iterations();
+    proof.lp_stats = *stats;
   }
   return result;
 }

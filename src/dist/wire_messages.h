@@ -54,12 +54,20 @@ std::string DistMessageType(const JsonValue& message);
 
 JsonValue MakeDistMessage(const std::string& type);
 
+/// Integer member `key` of a peer message, by request_json's
+/// ReadLong rule (JsonInteger): `fallback` when absent, InvalidArgumentError
+/// unless it is an integer within ±2^53. The one reader of peer integers,
+/// so no peer double reaches an integer cast unchecked.
+StatusOr<long> LongField(const JsonValue& message, const char* key,
+                         long fallback);
+
 /// Basis snapshots ship as their raw parts (lp/simplex.h accessors); a
 /// null/invalid basis encodes as JSON null and decodes back to null.
 JsonValue EncodeBasis(const std::shared_ptr<const Basis>& basis);
 StatusOr<std::shared_ptr<const Basis>> DecodeBasis(const JsonValue& value);
 
-/// Frontier fixings as [[column, lower, upper], ...].
+/// Frontier fixings as [[column, lower, upper], ...]. Decoding rejects a
+/// column or basis row that is not an integer in [0, INT_MAX].
 JsonValue EncodeFixings(const std::vector<BoundFix>& fixings);
 StatusOr<std::vector<BoundFix>> DecodeFixings(const JsonValue& value);
 

@@ -37,13 +37,6 @@ void UpdateMin(std::atomic<double>& target, double candidate) {
   }
 }
 
-long LongField(const JsonValue& message, const char* key, long fallback) {
-  const JsonValue* value = message.Find(key);
-  return (value != nullptr && value->is_number())
-             ? static_cast<long>(value->as_number())
-             : fallback;
-}
-
 /// Everything a job message expands into. Owned by the solver thread:
 /// job messages ride the same queue as units, so a new session's state
 /// never races a unit still solving under the previous one.
@@ -123,7 +116,9 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
 
       job = WorkerJob();
       job.cli = std::move(*parsed);
-      job.session = LongField(message, "session", 0);
+      StatusOr<long> session = LongField(message, "session", 0);
+      VPART_RETURN_IF_ERROR(session.status());
+      job.session = *session;
       job.token =
           CancellationToken::WithDeadline(job.cli.request.time_limit_seconds);
       // A fresh session starts with no incumbent; broadcasts refill this.
@@ -205,15 +200,13 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
         VPART_RETURN_IF_ERROR(split.status());
         job.subs = std::move(*split);
         solve_unit = [&](const JsonValue& unit) -> StatusOr<JsonValue> {
-          const JsonValue* table = unit.Find("table");
-          if (table == nullptr || !table->is_number()) {
-            return InvalidArgumentError("dist worker: unit needs a table");
-          }
-          const int t = static_cast<int>(table->as_number());
-          if (t < 0 || t >= static_cast<int>(job.subs.size())) {
+          StatusOr<long> table = LongField(unit, "table", -1);
+          VPART_RETURN_IF_ERROR(table.status());
+          if (*table < 0 || *table >= static_cast<long>(job.subs.size())) {
             return InvalidArgumentError(
-                "dist worker: table index out of range");
+                "dist worker: unit needs a table index in range");
           }
+          const size_t t = static_cast<size_t>(*table);
           // The exact per-table call AdviseSchema's in-process pool makes,
           // so the merged advice is byte-identical to a local batch.
           StatusOr<AdviseResponse> advised =
@@ -246,7 +239,7 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
         if (!handled.ok()) {
           got_job = false;
           JsonValue reply = MakeDistMessage(kDistMsgUnitError);
-          reply.Set("session", LongField(item, "session", 0));
+          reply.Set("session", LongField(item, "session", 0).value_or(0));
           reply.Set("id", -1L);
           reply.Set("error", std::string(handled.message()));
           if (!transport.Send(reply).ok()) return;
@@ -254,8 +247,10 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
         continue;
       }
       // A unit.
-      const long id = LongField(item, "id", -1);
-      const long session = LongField(item, "session", 0);
+      // A malformed id or session answers under the fallback, which the
+      // coordinator matches to no unit.
+      const long id = LongField(item, "id", -1).value_or(-1);
+      const long session = LongField(item, "session", 0).value_or(0);
       Span span("dist_unit", "dist");
       span.AddArg("id", id);
       StatusOr<JsonValue> answer =

@@ -216,19 +216,14 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     ilp.mip.lp_options.audit_level = options.lp_audit;
     ilp.root_basis = options.root_basis;
     IlpSolveResult result = SolveWithIlp(cost_model, ilp);
-    lane.nodes = result.nodes;
-    lane.lp_stats = result.lp_stats;
-    lane.best_bound = result.best_bound;
-    lane.search_exhausted = result.search_exhausted;
-    lane.pruned_by_external_bound = result.pruned_by_external_bound;
-    lane.root_basis = result.root_basis;
+    lane.proof = result.proof;
     if (result.ok()) {
       publish(*result.partitioning, "ilp");
       lane.has_solution = true;
       lane.cost = result.cost;
       lane.scalarized = result.scalarized;
     }
-    if (result.search_exhausted) {
+    if (result.proof.search_exhausted) {
       // Proof complete: nothing beats min(ILP incumbent, shared bound)
       // within the gap. Stop the heuristic lanes.
       proof_done.store(true, std::memory_order_relaxed);
@@ -255,14 +250,7 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
   result.seconds = watch.ElapsedSeconds();
   result.lanes = std::move(lanes);
   for (const PortfolioLane& lane : result.lanes) {
-    if (lane.name == "ilp") {
-      result.ilp_nodes = lane.nodes;
-      result.ilp_lp_stats = lane.lp_stats;
-      result.ilp_best_bound = lane.best_bound;
-      result.ilp_search_exhausted = lane.search_exhausted;
-      result.ilp_pruned_by_external_bound = lane.pruned_by_external_bound;
-      result.ilp_root_basis = lane.root_basis;
-    }
+    if (lane.name == "ilp") result.proof = lane.proof;
   }
   result.proven_optimal = proof_done.load(std::memory_order_relaxed);
   if (!shared.Snapshot(result.partitioning, result.scalarized, result.cost,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,12 +10,10 @@
 #include "check/audit.h"
 #include "cost/cost_coefficients.h"
 #include "engine/thread_pool.h"
-#include "lp/solve_stats.h"
+#include "mip/branch_and_bound.h"
 #include "util/status.h"
 
 namespace vpart {
-
-class Basis;  // lp/simplex.h
 
 /// Races the repo's solvers concurrently on one instance: the linearized
 /// ILP (branch & bound), restart-sliced simulated annealing, and the §4
@@ -48,7 +45,7 @@ struct PortfolioOptions {
   bool run_sa = true;
   bool run_incremental = true;
   /// LP invariant-audit level of the ILP lane's node LPs (check/audit.h);
-  /// failures surface in ilp_lp_stats.audit_failures.
+  /// failures surface in proof.lp_stats.audit_failures.
   AuditLevel lp_audit = AuditLevel::kOff;
   /// Externally owned race token. When set, the race uses it directly (its
   /// deadline replaces time_limit_seconds), so Cancel() on the caller's
@@ -79,16 +76,8 @@ struct PortfolioLane {
   double cost = 0.0;        // objective (4)
   double scalarized = 0.0;  // objective (6), the race metric
   double seconds = 0.0;     // lane wall clock (may end early on cancel)
-  /// ILP lane only: branch & bound nodes and node-LP warm/cold telemetry.
-  long nodes = 0;
-  LpSolveStats lp_stats;
-  /// ILP lane only: the dual bound and proof flags of its search (mirrors
-  /// IlpSolveResult), so the certifier can audit the optimality claim.
-  double best_bound = -std::numeric_limits<double>::infinity();
-  bool search_exhausted = false;
-  bool pruned_by_external_bound = false;
-  /// ILP lane only: terminal root-relaxation basis (see PortfolioResult).
-  std::shared_ptr<const Basis> root_basis;
+  /// ILP lane only: its branch & bound's proof record.
+  SearchProof proof;
 };
 
 struct PortfolioResult {
@@ -102,19 +91,10 @@ struct PortfolioResult {
   bool proven_optimal = false;
   double seconds = 0.0;
   std::vector<PortfolioLane> lanes;
-  /// Convenience mirror of the ILP lane's branch & bound telemetry (zeros
-  /// when the lane did not run), so callers need not scan `lanes`.
-  long ilp_nodes = 0;
-  LpSolveStats ilp_lp_stats;
-  /// Mirror of the ILP lane's dual bound and proof flags (see
-  /// PortfolioLane); best_bound is -inf when the lane did not run.
-  double ilp_best_bound = -std::numeric_limits<double>::infinity();
-  bool ilp_search_exhausted = false;
-  bool ilp_pruned_by_external_bound = false;
-  /// Terminal root-relaxation basis of the ILP lane (null when the lane
-  /// did not run or its root never reached optimality); cached by the
-  /// serve layer to seed future same-shaped races.
-  std::shared_ptr<const Basis> ilp_root_basis;
+  /// The ILP lane's proof record (empty when the lane did not run), so
+  /// callers need not scan `lanes`. Its root basis is cached by the serve
+  /// layer to seed future same-shaped races.
+  SearchProof proof;
 };
 
 StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,

@@ -1,17 +1,17 @@
 #include "mip/branch_and_bound.h"
 
 #include <algorithm>
-#include <cassert>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <map>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "mip/frontier.h"
 
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -21,8 +21,7 @@
 namespace vpart {
 namespace {
 
-/// Shared by the serial and parallel searches; function-local statics keep
-/// the registry lookup off the per-node path.
+/// Function-local statics keep the registry lookup off the per-node path.
 Counter& BnbNodesTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "vpart_bnb_nodes_total", "Branch & bound nodes processed");
@@ -52,14 +51,15 @@ const char* MipStatusName(MipStatus status) {
   return "UNKNOWN";
 }
 
-double MipResult::GapPercent() const {
-  if (!has_incumbent()) return 100.0;
-  if (!std::isfinite(best_bound)) return 100.0;
-  const double denom = std::max(std::abs(objective), 1e-9);
-  return 100.0 * std::max(0.0, (objective - best_bound)) / denom;
+double GapPercent(double incumbent, double bound) {
+  if (!std::isfinite(incumbent) || !std::isfinite(bound)) return 100.0;
+  const double denom = std::max(std::abs(incumbent), 1e-9);
+  return 100.0 * std::max(0.0, incumbent - bound) / denom;
 }
 
 namespace {
+
+using Bounds = std::vector<std::pair<double, double>>;
 
 double ExternalBound(const MipOptions& options) {
   if (options.external_upper_bound == nullptr) return kLpInfinity;
@@ -79,8 +79,7 @@ bool WithinGap(double ub, double bound, double gap) {
   return (ub - bound) / denom <= gap;
 }
 
-/// Most fractional integer variable of `x`, or -1 when integral. Shared by
-/// the serial and parallel searches so the branching rule cannot diverge.
+/// Most fractional integer variable of `x`, or -1 when integral.
 int MostFractionalVariable(const LpModel& model, double integrality_tol,
                            const std::vector<double>& x) {
   int best = -1;
@@ -98,7 +97,7 @@ int MostFractionalVariable(const LpModel& model, double integrality_tol,
 }
 
 /// Per-worker LP engine: one reusable SimplexSolver (the constraint matrix
-/// is built once per tree, not once per node) plus the warm/cold fallback
+/// is built once per worker, not once per node) plus the warm/cold fallback
 /// ladder — dual reoptimization from the parent basis, then cold two-phase
 /// primal, then the cold retry under tight refactorization.
 class NodeLpSolver {
@@ -109,10 +108,10 @@ class NodeLpSolver {
 
   /// Solves the node LP under `bounds`, trying `warm` (the parent node's
   /// optimal basis) first when warm starting is on. `delta` receives the
-  /// telemetry of exactly this call, so callers can merge it wherever
-  /// their locking discipline wants.
-  LpResult Solve(const std::vector<std::pair<double, double>>& bounds,
-                 const Basis* warm, double time_limit, LpSolveStats& delta) {
+  /// telemetry of exactly this call, so callers can merge it under their
+  /// own lock.
+  LpResult Solve(const Bounds& bounds, const Basis* warm, double time_limit,
+                 LpSolveStats& delta) {
     delta = LpSolveStats();
     Stopwatch watch;
     solver_.SetBounds(&bounds);
@@ -151,184 +150,394 @@ class NodeLpSolver {
     return lp;
   }
 
-  /// Snapshot of the last optimal basis, shareable with child nodes; the
-  /// returned basis reports !valid() when no reusable basis exists.
-  Basis SaveBasis() const { return solver_.SaveBasis(); }
-
-  bool warm_enabled() const { return use_warm_; }
+  /// Snapshot of the last optimal basis, shareable with child nodes; null
+  /// when warm starting is off or no reusable basis exists.
+  std::shared_ptr<const Basis> SaveBasis() const {
+    if (!use_warm_) return nullptr;
+    Basis saved = solver_.SaveBasis();
+    if (!saved.valid()) return nullptr;
+    return std::make_shared<const Basis>(std::move(saved));
+  }
 
  private:
   SimplexSolver solver_;
   bool use_warm_;
 };
 
-/// Per-LP wall budget shared by both search modes: whatever remains of the
-/// MIP clock, or the raw LP option when the search is unbounded. An expired
-/// deadline reports an epsilon, not 0 — SimplexOptions reads <= 0 as "no
-/// limit", which would let one node LP run unbudgeted past the MIP wall
-/// clock.
-double NodeLpBudget(const Deadline& deadline, const MipOptions& options) {
-  if (!deadline.HasLimit()) return options.lp_options.time_limit_seconds;
-  return std::max(deadline.RemainingSeconds(), 1e-9);
-}
-
-/// Shared status/flag assignment for both search modes.
-///  * `clean` — the tree emptied with no limit stop and no dropped LP node.
-///  * `closed` — the remaining open bound is within the gap of the
-///    effective incumbent min(own, external).
-void FinalizeStatus(bool have_incumbent, double incumbent_obj,
-                    double external_bound, bool clean, bool closed,
-                    bool pruned_by_external, MipResult& result) {
-  const bool proved = clean || closed;
-  result.search_exhausted = proved;
-  result.pruned_by_external_bound = pruned_by_external;
-  if (have_incumbent) {
-    // Our incumbent is itself proven optimal only if it is the effective
-    // incumbent; otherwise the external bound holder owns the proof.
-    const bool own_effective = incumbent_obj <= external_bound;
-    result.status = (proved && (own_effective || !pruned_by_external))
-                        ? MipStatus::kOptimal
-                        : MipStatus::kFeasible;
-  } else if (proved) {
-    // With external pruning this means "nothing beats the external bound",
-    // which the caller distinguishes via pruned_by_external_bound.
-    result.status = MipStatus::kInfeasible;
-  } else {
-    result.status = MipStatus::kNoSolution;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serial depth-first search (num_threads == 1): the original plunging DFS.
-// ---------------------------------------------------------------------------
-
-/// A node is a chain of single-variable bound tightenings over the root,
-/// plus the optimal basis of its parent's relaxation for the dual warm
-/// start (children of one parent share the snapshot).
+/// A node is one single-variable bound tightening over its parent. Nodes
+/// are immutable once published, so any worker materializes a node's bounds
+/// by walking its chain root-ward without touching shared state; a chain
+/// lives as long as some open node descends from it.
 struct Node {
-  int parent = -1;
+  std::shared_ptr<const Node> parent;  // null at the root
   int var = -1;
   double lower = 0.0;
   double upper = 0.0;
   double bound = -kLpInfinity;  // LP bound inherited from the parent
-  int depth = 0;
+  long id = 0;                  // creation order
+};
+
+/// An open node and its parent's optimal basis for the dual warm start
+/// (siblings share one snapshot). The basis rides the open entry, not the
+/// node, so it is freed once the node LP has run — chains outlive their
+/// nodes in their descendants, and so would every basis ever saved.
+struct OpenNode {
+  std::shared_ptr<const Node> node;
   std::shared_ptr<const Basis> warm;
 };
 
-class BranchAndBound {
+/// The open nodes, popped in the order the caller's search implies:
+/// depth-first pops the last pushed (plunging), best-first the least
+/// (bound, creation id).
+class OpenSet {
  public:
-  BranchAndBound(const LpModel& model, const MipOptions& options)
-      : model_(model),
-        options_(options),
-        deadline_(options.time_limit_seconds),
-        node_lp_(model, options) {}
+  explicit OpenSet(bool best_first) : best_first_(best_first) {}
 
-  MipResult Run();
+  bool empty() const { return nodes_.empty(); }
+  size_t size() const { return nodes_.size(); }
+
+  void Push(OpenNode open) {
+    nodes_.push_back(std::move(open));
+    if (best_first_) std::push_heap(nodes_.begin(), nodes_.end(), PopsLater);
+  }
+
+  OpenNode Pop() {
+    if (best_first_) std::pop_heap(nodes_.begin(), nodes_.end(), PopsLater);
+    OpenNode open = std::move(nodes_.back());
+    nodes_.pop_back();
+    return open;
+  }
 
  private:
-  void MaterializeBounds(int node_index,
-                         std::vector<std::pair<double, double>>& bounds,
-                         const std::vector<Node>& nodes) const;
-  bool TryUpdateIncumbent(const std::vector<double>& x, double objective);
-  /// Streams a MipProgress snapshot; `announce_incumbent` ships incumbent_.
-  void EmitProgress(bool announce_incumbent);
+  static bool PopsLater(const OpenNode& a, const OpenNode& b) {
+    if (a.node->bound != b.node->bound) return a.node->bound > b.node->bound;
+    return a.node->id > b.node->id;
+  }
+
+  bool best_first_;
+  std::vector<OpenNode> nodes_;
+};
+
+/// The one branch & bound search behind SolveMip and ExpandFrontier.
+/// Workers share the open set, the incumbent and the proof under `mu_`;
+/// each owns a NodeLpSolver and drops the lock around its LP solves and
+/// dives.
+class TreeSearch {
+ public:
+  /// `best_first` orders the open set; `export_at` > 0 stops the search
+  /// once that many nodes are open (a frontier expansion).
+  TreeSearch(const LpModel& model, const MipOptions& options, bool best_first,
+             size_t export_at)
+      : model_(model),
+        options_(options),
+        export_at_(export_at),
+        deadline_(options.time_limit_seconds),
+        open_(best_first) {}
+
+  /// Searches with `workers` workers: the caller's thread is one of them,
+  /// so a single worker starts no thread. Rethrows the first exception a
+  /// worker threw (a progress callback's, say) once every worker joined.
+  void Run(int workers);
+  /// SolveMip's answer, once Run returned.
+  MipResult Result();
+  /// ExpandFrontier's answer: the open nodes as units, once Run returned.
+  FrontierExpansion Export();
+
+ private:
+  /// Runs Worker(); an exception stops every worker and is kept for Run.
+  void Work();
+  void Worker();
+  /// Keeps the first failure for Run and stops every worker.
+  void Fail(std::exception_ptr failure);
+  /// A popped node's remaining steps (DESIGN.md "One search core"): LP,
+  /// root record, prune, branch or incumbent, dive, children. Called
+  /// without the lock.
+  void Process(OpenNode open, long ordinal, Bounds& bounds,
+               NodeLpSolver& lp_solver);
+  void MaterializeBounds(const Node& node, Bounds& bounds) const;
+  /// Offers `x` (LP objective `objective`) as the incumbent: integers are
+  /// rounded and the model re-checked before it is stored.
+  void OfferIncumbent(const std::vector<double>& x, double objective);
+  /// Rounding dive from (bounds, lp): repeatedly fixes the fractional
+  /// integer closest to integrality at its rounding and re-solves, each
+  /// step warm-starting off the previous one's basis.
+  void Dive(Bounds bounds, LpResult lp, NodeLpSolver& lp_solver);
+  /// Snapshots progress under mu_ and fires the callback unlocked, so a
+  /// slow handler never stalls siblings (and a handler that queries the
+  /// solver cannot self-deadlock).
+  void EmitProgressLocked(std::unique_lock<std::mutex>& lock,
+                          bool announce_incumbent);
   /// Prunes `bound` against min(own incumbent, external bound) within the
   /// gap; notes when the external bound was the deciding reason.
-  bool PruneBound(double bound);
-  bool GapClosed();
-  /// Rounding dive from (bounds, lp): repeatedly fixes the fractional
-  /// integer closest to integrality at its rounding and re-solves — each
-  /// step warm-starting off the previous one's basis.
-  void Dive(std::vector<std::pair<double, double>> bounds, LpResult lp);
-  double NodeBudget() const { return NodeLpBudget(deadline_, options_); }
+  bool PruneLocked(double bound);
+  bool GapClosedLocked();
+  void EraseOpenBoundLocked(double bound) {
+    open_bounds_.erase(open_bounds_.find(bound));
+  }
+  double OwnIncumbentLocked() const {
+    return have_incumbent_ ? incumbent_obj_ : kLpInfinity;
+  }
+  /// Per-LP wall budget: whatever remains of the MIP clock, or the raw LP
+  /// option when the search is unbounded. An expired deadline reports an
+  /// epsilon, not 0 — SimplexOptions reads <= 0 as "no limit", which would
+  /// let one node LP run unbudgeted past the MIP wall clock.
+  double NodeBudget() const {
+    if (!deadline_.HasLimit()) return options_.lp_options.time_limit_seconds;
+    return std::max(deadline_.RemainingSeconds(), 1e-9);
+  }
 
   const LpModel& model_;
   const MipOptions& options_;
+  const size_t export_at_;
   Deadline deadline_;
   Stopwatch watch_;
-  NodeLpSolver node_lp_;
 
+  std::mutex mu_;
+  std::condition_variable cv_;
+  OpenSet open_;
+  std::multiset<double> open_bounds_;  // open + in-flight node bounds
+  long next_id_ = 0;
+  int active_ = 0;  // nodes in flight
+  bool stop_ = false;
+  bool closed_ = false;
+  bool any_lp_failure_ = false;
+  bool pruned_by_external_ = false;
   bool have_incumbent_ = false;
   double incumbent_obj_ = kLpInfinity;
   std::vector<double> incumbent_;
-  std::multiset<double> open_bounds_;
   double root_bound_ = -kLpInfinity;
-  bool pruned_by_external_ = false;
-  bool any_lp_failure_ = false;
-  MipResult result_;
+  SearchProof proof_;  // nodes, lp_stats and root_basis accumulate here
+  std::exception_ptr failure_;
+  std::atomic<bool> diving_{false};
 };
 
-void BranchAndBound::MaterializeBounds(
-    int node_index, std::vector<std::pair<double, double>>& bounds,
-    const std::vector<Node>& nodes) const {
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    bounds[j] = {model_.variable(j).lower, model_.variable(j).upper};
+void TreeSearch::Run(int workers) {
+  if (options_.initial_solution != nullptr) {
+    const std::vector<double>& x0 = *options_.initial_solution;
+    if (model_.CheckFeasible(x0, 1e-6).ok()) {
+      OfferIncumbent(x0, model_.EvaluateObjective(x0));
+    } else {
+      VPART_LOG(Warning) << "warm-start solution rejected as infeasible";
+    }
   }
-  // Walk the chain root-ward; tightenings deeper in the tree win, so apply
-  // by intersecting (each variable is only tightened monotonically anyway).
-  for (int i = node_index; i >= 0; i = nodes[i].parent) {
-    const Node& node = nodes[i];
-    if (node.var < 0) continue;
-    bounds[node.var].first = std::max(bounds[node.var].first, node.lower);
-    bounds[node.var].second = std::min(bounds[node.var].second, node.upper);
+  // Cross-request seed: the root reoptimizes from a prior solve's terminal
+  // root basis instead of a cold two-phase primal. Mismatches fall back
+  // cold inside NodeLpSolver.
+  open_.Push({std::make_shared<const Node>(), options_.root_basis});
+  open_bounds_.insert(-kLpInfinity);
+
+  std::vector<std::thread> threads;
+  try {
+    for (int i = 1; i < workers; ++i) {
+      threads.emplace_back([this] { Work(); });
+    }
+  } catch (...) {
+    Fail(std::current_exception());  // no thread to spare
+  }
+  Work();
+  for (std::thread& thread : threads) thread.join();
+  if (failure_ != nullptr) std::rethrow_exception(failure_);
+}
+
+void TreeSearch::Work() {
+  try {
+    Worker();
+  } catch (...) {
+    Fail(std::current_exception());
   }
 }
 
-bool BranchAndBound::TryUpdateIncumbent(const std::vector<double>& x,
-                                        double objective) {
-  if (have_incumbent_ && objective >= incumbent_obj_) return false;
-  // Round integers exactly before storing.
+void TreeSearch::Fail(std::exception_ptr failure) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (failure_ == nullptr) failure_ = std::move(failure);
+  stop_ = true;
+  cv_.notify_all();
+}
+
+void TreeSearch::Worker() {
+  NodeLpSolver lp_solver(model_, options_);
+  Bounds bounds(model_.num_variables());
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!stop_) {
+    if (open_.empty() && active_ == 0) break;  // the tree is exhausted
+    if (export_at_ > 0 && open_.size() >= export_at_) break;
+    if (deadline_.Expired() || Cancelled(options_) ||
+        (options_.max_nodes > 0 && proof_.nodes >= options_.max_nodes)) {
+      break;
+    }
+    if (GapClosedLocked()) {
+      closed_ = true;
+      break;
+    }
+    if (open_.empty()) {
+      // Siblings' nodes in flight may still branch. The timed wait notices
+      // deadlines and cancellation while idle.
+      cv_.wait_for(lock, std::chrono::milliseconds(10));
+      continue;
+    }
+    OpenNode open = open_.Pop();
+    if (PruneLocked(open.node->bound)) {
+      EraseOpenBoundLocked(open.node->bound);
+      continue;
+    }
+    const long ordinal = ++proof_.nodes;
+    // Count this node in flight BEFORE a progress tick drops the lock: a
+    // sibling seeing open_ empty and active_ == 0 would declare the tree
+    // exhausted while this node still has children to push.
+    ++active_;
+    if (options_.progress_node_interval > 0 &&
+        ordinal % options_.progress_node_interval == 0) {
+      EmitProgressLocked(lock, /*announce_incumbent=*/false);
+    }
+    lock.unlock();
+    Process(std::move(open), ordinal, bounds, lp_solver);
+    lock.lock();
+    --active_;
+  }
+  stop_ = true;
+  cv_.notify_all();
+}
+
+void TreeSearch::Process(OpenNode open, long ordinal, Bounds& bounds,
+                         NodeLpSolver& lp_solver) {
+  const Node& node = *open.node;
+  const bool is_root = node.parent == nullptr;
+  BnbNodesTotal().Increment();
+  // Hot-path span: only recorded under full tracing (kFull gates the
+  // per-node cost to requests that asked for flame-chart depth).
+  Span node_span("bnb_node", "mip", ObsLevel::kFull);
+  node_span.AddArg("node", ordinal);
+  node_span.AddArg("bound", node.bound);
+  MaterializeBounds(node, bounds);
+
+  LpSolveStats delta;
+  const LpResult lp =
+      lp_solver.Solve(bounds, open.warm.get(), NodeBudget(), delta);
+  open.warm.reset();
+
+  bool want_dive = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    proof_.lp_stats.Add(delta);
+    if (lp.status == LpStatus::kUnbounded) {
+      // A bounded-variable MIP cannot be unbounded unless the model has
+      // unbounded continuous directions; surface as a failure bound.
+      VPART_LOG(Warning) << "LP relaxation unbounded at node";
+    } else if (lp.status != LpStatus::kOptimal &&
+               lp.status != LpStatus::kInfeasible) {
+      // Conservative: drop the node. Its bound leaves the open set, so no
+      // closure claim may rest on the open set from here on.
+      any_lp_failure_ = true;
+    }
+    if (lp.status != LpStatus::kOptimal) {
+      EraseOpenBoundLocked(node.bound);
+      return;
+    }
+    if (is_root) {
+      root_bound_ = lp.objective;
+      // Export the root relaxation's optimal basis before any dive reuses
+      // the engine; a future same-shaped solve seeds its root with it.
+      proof_.root_basis = lp_solver.SaveBasis();
+    }
+    if (PruneLocked(lp.objective)) {
+      EraseOpenBoundLocked(node.bound);
+      return;
+    }
+    // Primal heuristic: dive from the root, and periodically while no
+    // incumbent has been found yet.
+    want_dive = options_.enable_dive &&
+                (is_root || (!have_incumbent_ && ordinal % 50 == 0));
+  }
+
+  const int branch_var =
+      MostFractionalVariable(model_, options_.integrality_tol, lp.values);
+  if (branch_var < 0) {
+    OfferIncumbent(lp.values, lp.objective);
+    std::lock_guard<std::mutex> lock(mu_);
+    EraseOpenBoundLocked(node.bound);
+    return;
+  }
+
+  // Children warm-start from this node's optimal basis. Snapshot before the
+  // dive below: it reuses the same simplex engine.
+  const std::shared_ptr<const Basis> child_warm = lp_solver.SaveBasis();
+  // One dive at a time across the workers is plenty.
+  if (want_dive && !diving_.exchange(true)) {
+    Dive(bounds, lp, lp_solver);
+    diving_.store(false);
+  }
+
+  const double value = lp.values[branch_var];
+  const double floor_value = std::floor(value);
+  Node down{open.node, branch_var, bounds[branch_var].first, floor_value,
+            lp.objective};
+  Node up{open.node, branch_var, floor_value + 1.0, bounds[branch_var].second,
+          lp.objective};
+  const bool prefer_up = (value - floor_value) > 0.5;
+  Node& preferred = prefer_up ? up : down;
+  Node& other = prefer_up ? down : up;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  // The side the LP leans to gets the smaller id and is pushed last:
+  // depth-first plunges into it, best-first pops it first among equal
+  // bounds.
+  preferred.id = ++next_id_;
+  other.id = ++next_id_;
+  open_.Push({std::make_shared<const Node>(std::move(other)), child_warm});
+  open_.Push({std::make_shared<const Node>(std::move(preferred)), child_warm});
+  open_bounds_.insert(lp.objective);
+  open_bounds_.insert(lp.objective);
+  EraseOpenBoundLocked(node.bound);
+  cv_.notify_all();
+}
+
+void TreeSearch::MaterializeBounds(const Node& node, Bounds& bounds) const {
+  for (int j = 0; j < model_.num_variables(); ++j) {
+    bounds[j] = {model_.variable(j).lower, model_.variable(j).upper};
+  }
+  // Walk the chain root-ward; each variable is only tightened monotonically,
+  // so intersecting applies every tightening exactly.
+  for (const Node* n = &node; n != nullptr; n = n->parent.get()) {
+    if (n->var < 0) continue;
+    bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
+    bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
+  }
+}
+
+void TreeSearch::OfferIncumbent(const std::vector<double>& x,
+                                double objective) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (have_incumbent_ && objective >= incumbent_obj_) return;
+  }
   std::vector<double> rounded = x;
   for (int j = 0; j < model_.num_variables(); ++j) {
     if (model_.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
   }
   // Defense in depth: never accept an incumbent the model itself rejects
-  // (protects against LP tolerance drift after rounding).
+  // (LP tolerance drift after rounding). The model is immutable, so the
+  // check runs outside the lock.
   if (!model_.CheckFeasible(rounded, 1e-5).ok()) {
     VPART_LOG(Warning) << "rejecting infeasible rounded incumbent";
-    return false;
+    return;
   }
+  const double rounded_objective = model_.EvaluateObjective(rounded);
+  std::unique_lock<std::mutex> lock(mu_);
+  // A sibling may have stored a better incumbent meanwhile.
+  if (have_incumbent_ && objective >= incumbent_obj_) return;
   have_incumbent_ = true;
-  incumbent_obj_ = model_.EvaluateObjective(rounded);
+  incumbent_obj_ = rounded_objective;
   incumbent_ = std::move(rounded);
-  EmitProgress(/*announce_incumbent=*/true);
-  return true;
+  EmitProgressLocked(lock, /*announce_incumbent=*/true);
 }
 
-void BranchAndBound::EmitProgress(bool announce_incumbent) {
-  if (!options_.progress) return;
-  MipProgress snapshot;
-  snapshot.nodes = result_.nodes;
-  snapshot.has_incumbent = have_incumbent_;
-  snapshot.incumbent_objective = incumbent_obj_;
-  snapshot.best_bound = open_bounds_.empty()
-                            ? (have_incumbent_ ? incumbent_obj_ : -kLpInfinity)
-                            : *open_bounds_.begin();
-  snapshot.seconds = watch_.ElapsedSeconds();
-  snapshot.lp_stats = result_.lp_stats;
-  if (announce_incumbent) snapshot.incumbent_values = incumbent_;
-  options_.progress(snapshot);
-}
-
-bool BranchAndBound::PruneBound(double bound) {
-  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  const double ext = ExternalBound(options_);
-  const double effective = std::min(own, ext);
-  if (!WithinGap(effective, bound, options_.relative_gap)) return false;
-  if (!WithinGap(own, bound, options_.relative_gap)) {
-    pruned_by_external_ = true;  // only the shared bound justified this cut
-  }
-  return true;
-}
-
-void BranchAndBound::Dive(std::vector<std::pair<double, double>> bounds,
-                          LpResult lp) {
+void TreeSearch::Dive(Bounds bounds, LpResult lp, NodeLpSolver& lp_solver) {
   // Bounded number of re-solves; each dive step fixes one variable, so the
   // trail of optimal bases makes every step a single-bound-change dual
   // reoptimization.
   Span dive_span("bnb_dive", "mip", ObsLevel::kFull);
   const int max_depth = model_.num_variables() + 8;
-  Basis trail = node_lp_.warm_enabled() ? node_lp_.SaveBasis() : Basis();
+  std::shared_ptr<const Basis> trail = lp_solver.SaveBasis();
   for (int depth = 0; depth < max_depth; ++depth) {
     if (deadline_.Expired() || Cancelled(options_)) return;
     // Find the fractional integer variable closest to an integer value.
@@ -344,383 +553,57 @@ void BranchAndBound::Dive(std::vector<std::pair<double, double>> bounds,
       }
     }
     if (best < 0) {
-      // Integral: candidate incumbent.
-      TryUpdateIncumbent(lp.values, lp.objective);
+      OfferIncumbent(lp.values, lp.objective);
       return;
     }
     const double rounded = std::round(lp.values[best]);
     bounds[best] = {rounded, rounded};
     LpSolveStats delta;
-    lp = node_lp_.Solve(bounds, trail.valid() ? &trail : nullptr,
-                        NodeBudget(), delta);
-    result_.lp_stats.Add(delta);
-    if (lp.status != LpStatus::kOptimal) return;  // dead end; give up
-    if (node_lp_.warm_enabled()) trail = node_lp_.SaveBasis();
-    if (have_incumbent_ && lp.objective >= incumbent_obj_) return;
-  }
-}
-
-bool BranchAndBound::GapClosed() {
-  // An LP failure silently dropped a subtree: its bound is missing from
-  // open_bounds_, so no closure claim based on the open set is sound.
-  if (any_lp_failure_) return false;
-  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  const double effective = std::min(own, ExternalBound(options_));
-  if (!std::isfinite(effective)) return false;
-  const double bound =
-      open_bounds_.empty() ? effective : *open_bounds_.begin();
-  if (!WithinGap(effective, bound, options_.relative_gap + 1e-12)) {
-    return false;
-  }
-  if (effective < own) pruned_by_external_ = true;
-  return true;
-}
-
-MipResult BranchAndBound::Run() {
-  watch_.Reset();
-
-  if (options_.initial_solution != nullptr) {
-    const std::vector<double>& x0 = *options_.initial_solution;
-    if (model_.CheckFeasible(x0, 1e-6).ok()) {
-      TryUpdateIncumbent(x0, model_.EvaluateObjective(x0));
-    } else {
-      VPART_LOG(Warning) << "warm-start solution rejected as infeasible";
-    }
-  }
-
-  std::vector<Node> nodes;
-  nodes.reserve(1024);
-  Node root;
-  // Cross-request seed: the root reoptimizes from a prior solve's terminal
-  // root basis instead of a cold two-phase primal. Mismatches fall back
-  // cold inside NodeLpSolver.
-  root.warm = options_.root_basis;
-  nodes.push_back(root);
-  std::vector<int> stack = {0};
-  open_bounds_.insert(-kLpInfinity);
-
-  std::vector<std::pair<double, double>> bounds(model_.num_variables());
-  bool limit_hit = false;
-  bool closed = false;
-
-  while (!stack.empty()) {
-    if (deadline_.Expired() || Cancelled(options_) ||
-        (options_.max_nodes > 0 && result_.nodes >= options_.max_nodes)) {
-      limit_hit = true;
-      break;
-    }
-    if (GapClosed()) {
-      closed = true;
-      break;
-    }
-
-    const int node_index = stack.back();
-    stack.pop_back();
-    const Node node = nodes[node_index];
-    // The chain vector is append-only (MaterializeBounds walks parents), so
-    // drop the processed node's snapshot now — otherwise every basis ever
-    // saved stays alive until the search ends.
-    nodes[node_index].warm.reset();
-    open_bounds_.erase(open_bounds_.find(node.bound));
-
-    // Bound-based pruning against the effective incumbent (gap-aware).
-    if (PruneBound(node.bound)) continue;
-
-    ++result_.nodes;
-    BnbNodesTotal().Increment();
-    // Hot-path span: only recorded under full tracing (kFull gates the
-    // per-node cost to requests that asked for flame-chart depth).
-    Span node_span("bnb_node", "mip", ObsLevel::kFull);
-    node_span.AddArg("node", result_.nodes);
-    node_span.AddArg("bound", node.bound);
-    if (options_.progress_node_interval > 0 &&
-        result_.nodes % options_.progress_node_interval == 0) {
-      EmitProgress(/*announce_incumbent=*/false);
-    }
-    MaterializeBounds(node_index, bounds, nodes);
-
-    LpSolveStats delta;
-    LpResult lp =
-        node_lp_.Solve(bounds, node.warm.get(), NodeBudget(), delta);
-    result_.lp_stats.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) continue;
-    if (lp.status == LpStatus::kUnbounded) {
-      // A bounded-variable MIP cannot be unbounded unless the model has
-      // unbounded continuous directions; surface as a failure bound.
-      VPART_LOG(Warning) << "LP relaxation unbounded at node";
-      continue;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure_ = true;
-      continue;  // conservative: drop the node (bound stays valid via others)
-    }
-
-    const double lp_bound = lp.objective;
-    if (node_index == 0) {
-      root_bound_ = lp_bound;
-      // Export the root relaxation's optimal basis before any dive reuses
-      // the engine; a future same-shaped solve seeds its root with it.
-      if (node_lp_.warm_enabled()) {
-        Basis saved = node_lp_.SaveBasis();
-        if (saved.valid()) {
-          result_.root_basis =
-              std::make_shared<const Basis>(std::move(saved));
-        }
+    lp = lp_solver.Solve(bounds, trail.get(), NodeBudget(), delta);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      proof_.lp_stats.Add(delta);
+      // A dead end, or no better than the incumbent: give up.
+      if (lp.status != LpStatus::kOptimal ||
+          (have_incumbent_ && lp.objective >= incumbent_obj_)) {
+        return;
       }
     }
-    if (PruneBound(lp_bound)) continue;
-
-    const int branch_var =
-        MostFractionalVariable(model_, options_.integrality_tol, lp.values);
-    if (branch_var < 0) {
-      TryUpdateIncumbent(lp.values, lp_bound);
-      continue;
-    }
-
-    // Children warm-start from this node's optimal basis. Snapshot before
-    // the dive below — the dive reuses the same simplex engine and would
-    // otherwise overwrite the basis the children need.
-    std::shared_ptr<const Basis> child_warm;
-    if (node_lp_.warm_enabled()) {
-      Basis saved = node_lp_.SaveBasis();
-      if (saved.valid()) {
-        child_warm = std::make_shared<const Basis>(std::move(saved));
-      }
-    }
-
-    // Primal heuristic: dive from the root, and periodically while no
-    // incumbent has been found yet.
-    if (options_.enable_dive &&
-        (result_.nodes == 1 ||
-         (!have_incumbent_ && result_.nodes % 50 == 0))) {
-      Dive(bounds, lp);
-    }
-
-    const double value = lp.values[branch_var];
-    const double floor_value = std::floor(value);
-
-    Node down;
-    down.parent = node_index;
-    down.var = branch_var;
-    down.lower = bounds[branch_var].first;
-    down.upper = floor_value;
-    down.bound = lp_bound;
-    down.depth = node.depth + 1;
-    down.warm = child_warm;
-
-    Node up;
-    up.parent = node_index;
-    up.var = branch_var;
-    up.lower = floor_value + 1.0;
-    up.upper = bounds[branch_var].second;
-    up.bound = lp_bound;
-    up.depth = node.depth + 1;
-    up.warm = child_warm;
-
-    // Plunge toward the side the LP leans to (pushed last = explored first).
-    const bool prefer_up = (value - floor_value) > 0.5;
-    const Node& first = prefer_up ? down : up;
-    const Node& second = prefer_up ? up : down;
-    nodes.push_back(first);
-    stack.push_back(static_cast<int>(nodes.size()) - 1);
-    open_bounds_.insert(first.bound);
-    nodes.push_back(second);
-    stack.push_back(static_cast<int>(nodes.size()) - 1);
-    open_bounds_.insert(second.bound);
-  }
-
-  result_.seconds = watch_.ElapsedSeconds();
-  result_.lp_iterations = result_.lp_stats.total_iterations();
-  // Best bound: min over still-open nodes; exhausted tree -> incumbent —
-  // capped by the external bound where it provided cuts (nodes pruned
-  // against it were only proven >= the external value, not >= ours).
-  double open_min = kLpInfinity;
-  for (int i : stack) open_min = std::min(open_min, nodes[i].bound);
-  if (stack.empty() && !limit_hit && !any_lp_failure_) {
-    double proven = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-    if (pruned_by_external_) {
-      proven = std::min(proven, ExternalBound(options_));
-    }
-    result_.best_bound = proven;
-  } else {
-    result_.best_bound =
-        std::isfinite(open_min) ? open_min : root_bound_;
-  }
-
-  if (have_incumbent_) {
-    result_.objective = incumbent_obj_;
-    result_.values = incumbent_;
-  }
-  // Re-check closure: the loop may have ended with the gap closed without
-  // passing the top-of-loop test again.
-  closed = closed || GapClosed();
-  const bool clean = stack.empty() && !limit_hit && !any_lp_failure_;
-  FinalizeStatus(have_incumbent_, incumbent_obj_, ExternalBound(options_),
-                 clean, closed, pruned_by_external_, result_);
-  return result_;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel best-first search (num_threads > 1): subproblem nodes fan out to
-// a thread pool over a mutex-guarded best-first queue; the incumbent is
-// shared. Node chains are immutable shared_ptr links so workers materialize
-// variable bounds without touching shared containers; each node also carries
-// its parent's optimal basis, which any worker's own simplex engine can
-// load (snapshots are immutable once published).
-// ---------------------------------------------------------------------------
-
-struct PNode {
-  std::shared_ptr<const PNode> parent;
-  int var = -1;
-  double lower = 0.0;
-  double upper = 0.0;
-  double bound = -kLpInfinity;
-  int depth = 0;
-  long id = 0;  // creation order; tie-breaker for deterministic pops
-  /// mutable: exactly one worker pops (and therefore processes) a node, and
-  /// it clears the snapshot after the node LP — ancestors live on in the
-  /// parent chains of their descendants, and without the reset so would
-  /// every basis ever saved.
-  mutable std::shared_ptr<const Basis> warm;
-};
-
-class ParallelBranchAndBound {
- public:
-  ParallelBranchAndBound(const LpModel& model, const MipOptions& options)
-      : model_(model),
-        options_(options),
-        deadline_(options.time_limit_seconds) {}
-
-  MipResult Run();
-
- private:
-  struct OpenEntry {
-    double bound;
-    long id;
-    std::shared_ptr<const PNode> node;
-    bool operator<(const OpenEntry& other) const {
-      if (bound != other.bound) return bound < other.bound;
-      return id < other.id;
-    }
-  };
-
-  void Worker();
-  void ProcessNode(const std::shared_ptr<const PNode>& node,
-                   std::vector<std::pair<double, double>>& bounds,
-                   NodeLpSolver& lp_solver);
-  void MaterializeBounds(const PNode& node,
-                         std::vector<std::pair<double, double>>& bounds) const;
-  /// Locks internally; `objective` is recomputed after rounding.
-  void OfferIncumbent(const std::vector<double>& x);
-  /// Snapshots progress under mu_ and fires the callback unlocked.
-  void EmitProgressLocked(std::unique_lock<std::mutex>& lock,
-                          bool announce_incumbent);
-  void Dive(std::vector<std::pair<double, double>> bounds, LpResult lp,
-            NodeLpSolver& lp_solver);
-  double NodeBudget() const { return NodeLpBudget(deadline_, options_); }
-
-  double OwnIncumbentLocked() const {
-    return have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  }
-  bool PruneBoundLocked(double bound);
-  bool GapClosedLocked();
-  void EraseOpenBoundLocked(double bound) {
-    auto it = open_bounds_.find(bound);
-    assert(it != open_bounds_.end());
-    open_bounds_.erase(it);
-  }
-
-  const LpModel& model_;
-  const MipOptions& options_;
-  Deadline deadline_;
-  Stopwatch watch_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::set<OpenEntry> open_;
-  std::multiset<double> open_bounds_;  // open + in-flight node bounds
-  long next_id_ = 0;
-  int active_ = 0;
-  bool stop_ = false;
-  bool limit_hit_ = false;
-  bool closed_ = false;
-  bool any_lp_failure_ = false;
-  bool pruned_by_external_ = false;
-  bool have_incumbent_ = false;
-  double incumbent_obj_ = kLpInfinity;
-  std::vector<double> incumbent_;
-  double root_bound_ = -kLpInfinity;
-  std::shared_ptr<const Basis> root_basis_;
-  long nodes_processed_ = 0;
-  LpSolveStats lp_stats_;
-  std::atomic<bool> diving_{false};
-};
-
-void ParallelBranchAndBound::MaterializeBounds(
-    const PNode& node, std::vector<std::pair<double, double>>& bounds) const {
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    bounds[j] = {model_.variable(j).lower, model_.variable(j).upper};
-  }
-  for (const PNode* n = &node; n != nullptr; n = n->parent.get()) {
-    if (n->var < 0) continue;
-    bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
-    bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
+    trail = lp_solver.SaveBasis();
   }
 }
 
-void ParallelBranchAndBound::OfferIncumbent(const std::vector<double>& x) {
-  std::vector<double> rounded = x;
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    if (model_.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
-  }
-  // Feasibility check runs outside the lock (the model is immutable).
-  if (!model_.CheckFeasible(rounded, 1e-5).ok()) {
-    VPART_LOG(Warning) << "rejecting infeasible rounded incumbent";
-    return;
-  }
-  const double objective = model_.EvaluateObjective(rounded);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (have_incumbent_ && objective >= incumbent_obj_) return;
-  have_incumbent_ = true;
-  incumbent_obj_ = objective;
-  incumbent_ = std::move(rounded);
-  EmitProgressLocked(lock, /*announce_incumbent=*/true);
-}
-
-void ParallelBranchAndBound::EmitProgressLocked(
-    std::unique_lock<std::mutex>& lock, bool announce_incumbent) {
-  assert(lock.owns_lock());
+void TreeSearch::EmitProgressLocked(std::unique_lock<std::mutex>& lock,
+                                    bool announce_incumbent) {
   if (!options_.progress) return;
   MipProgress snapshot;
-  snapshot.nodes = nodes_processed_;
+  snapshot.nodes = proof_.nodes;
   snapshot.has_incumbent = have_incumbent_;
   snapshot.incumbent_objective = incumbent_obj_;
   snapshot.best_bound = open_bounds_.empty()
                             ? (have_incumbent_ ? incumbent_obj_ : -kLpInfinity)
                             : *open_bounds_.begin();
   snapshot.seconds = watch_.ElapsedSeconds();
-  snapshot.lp_stats = lp_stats_;
+  snapshot.lp_stats = proof_.lp_stats;
   if (announce_incumbent) snapshot.incumbent_values = incumbent_;
-  // Fire without the search lock so a slow handler never stalls siblings
-  // (and a handler that queries this solver cannot self-deadlock).
   lock.unlock();
   options_.progress(snapshot);
   lock.lock();
 }
 
-bool ParallelBranchAndBound::PruneBoundLocked(double bound) {
+bool TreeSearch::PruneLocked(double bound) {
   const double own = OwnIncumbentLocked();
   const double effective = std::min(own, ExternalBound(options_));
   if (!WithinGap(effective, bound, options_.relative_gap)) return false;
   if (!WithinGap(own, bound, options_.relative_gap)) {
-    pruned_by_external_ = true;
+    pruned_by_external_ = true;  // only the shared bound justified this cut
   }
   return true;
 }
 
-bool ParallelBranchAndBound::GapClosedLocked() {
-  // A dropped (LP-failed) subtree is missing from open_bounds_; closure
-  // claims based on the open set are unsound then.
+bool TreeSearch::GapClosedLocked() {
+  // An LP failure silently dropped a subtree: its bound is missing from
+  // open_bounds_, so no closure claim based on the open set is sound.
   if (any_lp_failure_) return false;
   const double own = OwnIncumbentLocked();
   const double effective = std::min(own, ExternalBound(options_));
@@ -734,511 +617,109 @@ bool ParallelBranchAndBound::GapClosedLocked() {
   return true;
 }
 
-void ParallelBranchAndBound::Dive(
-    std::vector<std::pair<double, double>> bounds, LpResult lp,
-    NodeLpSolver& lp_solver) {
-  Span dive_span("bnb_dive", "mip", ObsLevel::kFull);
-  const int max_depth = model_.num_variables() + 8;
-  Basis trail = lp_solver.warm_enabled() ? lp_solver.SaveBasis() : Basis();
-  LpSolveStats dive_stats;
-  for (int depth = 0; depth < max_depth; ++depth) {
-    if (deadline_.Expired() || Cancelled(options_)) break;
-    int best = -1;
-    double best_dist = 0.5 + 1e-9;
-    for (int j = 0; j < model_.num_variables(); ++j) {
-      if (!model_.variable(j).is_integer) continue;
-      const double frac = lp.values[j] - std::floor(lp.values[j]);
-      const double dist = std::min(frac, 1.0 - frac);
-      if (dist > 1e-6 && dist < best_dist) {
-        best_dist = dist;
-        best = j;
-      }
-    }
-    if (best < 0) {
-      OfferIncumbent(lp.values);
-      break;
-    }
-    const double rounded = std::round(lp.values[best]);
-    bounds[best] = {rounded, rounded};
-    LpSolveStats delta;
-    lp = lp_solver.Solve(bounds, trail.valid() ? &trail : nullptr,
-                         NodeBudget(), delta);
-    dive_stats.Add(delta);
-    if (lp.status != LpStatus::kOptimal) break;
-    if (lp_solver.warm_enabled()) trail = lp_solver.SaveBasis();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (have_incumbent_ && lp.objective >= incumbent_obj_) break;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  lp_stats_.Add(dive_stats);
-}
-
-void ParallelBranchAndBound::ProcessNode(
-    const std::shared_ptr<const PNode>& node,
-    std::vector<std::pair<double, double>>& bounds,
-    NodeLpSolver& lp_solver) {
-  BnbNodesTotal().Increment();
-  Span node_span("bnb_node", "mip", ObsLevel::kFull);
-  node_span.AddArg("node", node->id);
-  node_span.AddArg("bound", node->bound);
-  MaterializeBounds(*node, bounds);
-  LpSolveStats delta;
-  LpResult lp =
-      lp_solver.Solve(bounds, node->warm.get(), NodeBudget(), delta);
-  node->warm.reset();  // single consumer (this worker); see PNode::warm
-
-  bool want_dive = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lp_stats_.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) {
-      EraseOpenBoundLocked(node->bound);
-      return;
-    }
-    if (lp.status == LpStatus::kUnbounded) {
-      VPART_LOG(Warning) << "LP relaxation unbounded at node";
-      EraseOpenBoundLocked(node->bound);
-      return;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure_ = true;
-      EraseOpenBoundLocked(node->bound);
-      return;
-    }
-    if (node->id == 0) {
-      root_bound_ = lp.objective;
-      // Snapshot for cross-request root seeding; only the root's worker
-      // reaches here, and the per-worker engine still holds its basis.
-      if (lp_solver.warm_enabled()) {
-        Basis saved = lp_solver.SaveBasis();
-        if (saved.valid()) {
-          root_basis_ = std::make_shared<const Basis>(std::move(saved));
-        }
-      }
-    }
-    if (PruneBoundLocked(lp.objective)) {
-      EraseOpenBoundLocked(node->bound);
-      return;
-    }
-    want_dive = options_.enable_dive &&
-                (node->id == 0 ||
-                 (!have_incumbent_ && nodes_processed_ % 50 == 0));
-  }
-
-  const int branch_var =
-      MostFractionalVariable(model_, options_.integrality_tol, lp.values);
-  if (branch_var < 0) {
-    OfferIncumbent(lp.values);
-    std::lock_guard<std::mutex> lock(mu_);
-    EraseOpenBoundLocked(node->bound);
-    return;
-  }
-
-  // Children warm-start from this node's basis; snapshot before the dive
-  // reuses (and overwrites) the worker's simplex engine.
-  std::shared_ptr<const Basis> child_warm;
-  if (lp_solver.warm_enabled()) {
-    Basis saved = lp_solver.SaveBasis();
-    if (saved.valid()) {
-      child_warm = std::make_shared<const Basis>(std::move(saved));
-    }
-  }
-
-  // Primal rounding dive; one at a time across the workers is plenty.
-  if (want_dive && !diving_.exchange(true)) {
-    Dive(bounds, lp, lp_solver);
-    diving_.store(false);
-  }
-
-  const double value = lp.values[branch_var];
-  const double floor_value = std::floor(value);
-
-  auto down = std::make_shared<PNode>();
-  down->parent = node;
-  down->var = branch_var;
-  down->lower = bounds[branch_var].first;
-  down->upper = floor_value;
-  down->bound = lp.objective;
-  down->depth = node->depth + 1;
-  down->warm = child_warm;
-
-  auto up = std::make_shared<PNode>();
-  up->parent = node;
-  up->var = branch_var;
-  up->lower = floor_value + 1.0;
-  up->upper = bounds[branch_var].second;
-  up->bound = lp.objective;
-  up->depth = node->depth + 1;
-  up->warm = child_warm;
-
-  // The LP-preferred child gets the smaller id: equal bounds pop in
-  // plunge order, mirroring the serial search's exploration bias.
-  const bool prefer_up = (value - floor_value) > 0.5;
-  std::shared_ptr<PNode> first = prefer_up ? up : down;
-  std::shared_ptr<PNode> second = prefer_up ? down : up;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  first->id = ++next_id_;
-  second->id = ++next_id_;
-  open_.insert({first->bound, first->id, std::move(first)});
-  open_bounds_.insert(lp.objective);
-  open_.insert({second->bound, second->id, std::move(second)});
-  open_bounds_.insert(lp.objective);
-  EraseOpenBoundLocked(node->bound);
-  cv_.notify_all();
-}
-
-void ParallelBranchAndBound::Worker() {
-  std::vector<std::pair<double, double>> bounds(model_.num_variables());
-  // Each worker owns a simplex engine; the constraint matrix build is paid
-  // once per worker, and any published Basis snapshot loads into it.
-  NodeLpSolver lp_solver(model_, options_);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (stop_) break;
-    if (deadline_.Expired() || Cancelled(options_) ||
-        (options_.max_nodes > 0 && nodes_processed_ >= options_.max_nodes)) {
-      limit_hit_ = true;
-      stop_ = true;
-      cv_.notify_all();
-      break;
-    }
-    if (GapClosedLocked()) {
-      closed_ = true;
-      stop_ = true;
-      cv_.notify_all();
-      break;
-    }
-    if (open_.empty()) {
-      if (active_ == 0) {
-        stop_ = true;
-        cv_.notify_all();
-        break;
-      }
-      // Timed wait so deadlines/cancellation are noticed while idle.
-      cv_.wait_for(lock, std::chrono::milliseconds(10));
-      continue;
-    }
-    auto it = open_.begin();
-    std::shared_ptr<const PNode> node = it->node;
-    open_.erase(it);
-    if (PruneBoundLocked(node->bound)) {
-      EraseOpenBoundLocked(node->bound);
-      continue;
-    }
-    ++nodes_processed_;
-    // active_ must count this worker BEFORE the progress emission drops
-    // the lock: a sibling seeing open_ empty and active_ == 0 would
-    // declare the search exhausted while this node still has children.
-    ++active_;
-    if (options_.progress_node_interval > 0 &&
-        nodes_processed_ % options_.progress_node_interval == 0) {
-      EmitProgressLocked(lock, /*announce_incumbent=*/false);
-    }
-    lock.unlock();
-    ProcessNode(node, bounds, lp_solver);
-    lock.lock();
-    --active_;
-    cv_.notify_all();
-  }
-}
-
-MipResult ParallelBranchAndBound::Run() {
-  watch_.Reset();
+// Result and Export run after every worker joined: the lock is not needed.
+MipResult TreeSearch::Result() {
   MipResult result;
-
-  if (options_.initial_solution != nullptr) {
-    const std::vector<double>& x0 = *options_.initial_solution;
-    if (model_.CheckFeasible(x0, 1e-6).ok()) {
-      OfferIncumbent(x0);
-    } else {
-      VPART_LOG(Warning) << "warm-start solution rejected as infeasible";
-    }
-  }
-
-  auto root = std::make_shared<PNode>();
-  root->bound = -kLpInfinity;
-  root->warm = options_.root_basis;  // cross-request seed; see serial search
-  open_.insert({root->bound, root->id, root});
-  open_bounds_.insert(root->bound);
-
-  {
-    ThreadPool pool(options_.num_threads);
-    std::vector<std::future<void>> workers;
-    workers.reserve(pool.size());
-    for (int i = 0; i < pool.size(); ++i) {
-      workers.push_back(pool.Submit([this]() { Worker(); }));
-    }
-    for (auto& worker : workers) worker.get();
-  }
-
   result.seconds = watch_.ElapsedSeconds();
-  result.nodes = nodes_processed_;
-  result.lp_stats = lp_stats_;
-  result.lp_iterations = lp_stats_.total_iterations();
-  result.root_basis = root_basis_;
-
-  const bool exhausted_tree = open_.empty();
-  double open_min = kLpInfinity;
-  if (!open_bounds_.empty()) open_min = *open_bounds_.begin();
-  if (exhausted_tree && !limit_hit_ && !any_lp_failure_) {
-    // Externally pruned subtrees were only proven >= the shared bound.
-    double proven = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
+  result.proof = proof_;
+  // Exhausted: nothing open and no subtree dropped by an LP failure.
+  const bool exhausted = open_bounds_.empty() && !any_lp_failure_;
+  if (exhausted) {
+    // The incumbent is proven — capped by the external bound where it
+    // provided cuts (nodes pruned against it were only proven >= the
+    // external value, not >= ours).
+    double proven = OwnIncumbentLocked();
     if (pruned_by_external_) {
       proven = std::min(proven, ExternalBound(options_));
     }
-    result.best_bound = proven;
+    result.proof.best_bound = proven;
   } else {
-    result.best_bound = std::isfinite(open_min) ? open_min : root_bound_;
+    const double open_min =
+        open_bounds_.empty() ? kLpInfinity : *open_bounds_.begin();
+    result.proof.best_bound = std::isfinite(open_min) ? open_min : root_bound_;
   }
-
   if (have_incumbent_) {
     result.objective = incumbent_obj_;
     result.values = incumbent_;
   }
-  closed_ = closed_ || GapClosedLocked();  // workers joined; lock not needed
-  const bool clean = exhausted_tree && !limit_hit_ && !any_lp_failure_;
-  FinalizeStatus(have_incumbent_, incumbent_obj_, ExternalBound(options_),
-                 clean, closed_, pruned_by_external_, result);
+  // Re-check closure: the search may have ended with the gap closed without
+  // passing the top-of-loop test again.
+  closed_ = closed_ || GapClosedLocked();
+  const bool proved = exhausted || closed_;
+  result.proof.search_exhausted = proved;
+  result.proof.pruned_by_external_bound = pruned_by_external_;
+  if (have_incumbent_) {
+    // Our incumbent is itself proven optimal only if it is the effective
+    // incumbent; otherwise the external bound holder owns the proof.
+    const bool own_effective = incumbent_obj_ <= ExternalBound(options_);
+    result.status = (proved && (own_effective || !pruned_by_external_))
+                        ? MipStatus::kOptimal
+                        : MipStatus::kFeasible;
+  } else if (proved) {
+    // With external pruning this means "nothing beats the external bound",
+    // which the caller distinguishes via pruned_by_external_bound.
+    result.status = MipStatus::kInfeasible;
+  } else {
+    result.status = MipStatus::kNoSolution;
+  }
   return result;
+}
+
+FrontierExpansion TreeSearch::Export() {
+  FrontierExpansion out;
+  Bounds bounds(model_.num_variables());
+  // Open nodes that the incumbent found later in the expansion already
+  // closes are pruned here instead of shipped; the shipped ones keep their
+  // bounds in open_bounds_, so Result() reads them as still open.
+  while (!open_.empty()) {
+    OpenNode open = open_.Pop();
+    const Node& node = *open.node;
+    if (PruneLocked(node.bound)) {
+      EraseOpenBoundLocked(node.bound);
+      continue;
+    }
+    FrontierUnit unit;
+    unit.id = node.id;
+    unit.bound = std::isfinite(node.bound) ? node.bound : root_bound_;
+    unit.basis = std::move(open.warm);
+    // Every branching strictly tightens its column, so the fixings are
+    // exactly the columns whose bounds differ from the model's.
+    MaterializeBounds(node, bounds);
+    for (int j = 0; j < model_.num_variables(); ++j) {
+      if (bounds[j].first != model_.variable(j).lower ||
+          bounds[j].second != model_.variable(j).upper) {
+        unit.fixings.push_back({j, bounds[j].first, bounds[j].second});
+      }
+    }
+    out.units.push_back(std::move(unit));
+  }
+  out.clean = !any_lp_failure_;
+  out.root = Result();
+  if (!out.units.empty()) {
+    // The proof is delegated to the units.
+    out.root.proof.search_exhausted = false;
+    out.root.status =
+        have_incumbent_ ? MipStatus::kFeasible : MipStatus::kNoSolution;
+  }
+  return out;
 }
 
 }  // namespace
 
 MipResult SolveMip(const LpModel& model, const MipOptions& options) {
-  if (options.num_threads > 1) {
-    ParallelBranchAndBound solver(model, options);
-    return solver.Run();
-  }
-  BranchAndBound solver(model, options);
-  return solver.Run();
+  const int workers = std::max(1, options.num_threads);
+  TreeSearch search(model, options, /*best_first=*/workers > 1,
+                    /*export_at=*/0);
+  search.Run(workers);
+  return search.Result();
 }
-
-// ---------------------------------------------------------------------------
-// Frontier expansion (mip/frontier.h): a bounded best-first pass sharing the
-// search's branching rule, warm-start ladder and pruning, stopping once the
-// open set is wide enough to farm out. Lives in this TU so the distributed
-// path cannot diverge from the in-process searches (same NodeLpSolver /
-// MostFractionalVariable / WithinGap helpers).
-// ---------------------------------------------------------------------------
 
 FrontierExpansion ExpandFrontier(const LpModel& model,
                                  const MipOptions& options, int target_units) {
-  FrontierExpansion out;
-  MipResult& root = out.root;
-  Stopwatch watch;
-  Deadline deadline(options.time_limit_seconds);
-  NodeLpSolver node_lp(model, options);
-
-  // Immutable parent chains, like the parallel search's PNode; fixings are
-  // materialized per emitted unit by walking the chain.
-  struct FNode {
-    std::shared_ptr<const FNode> parent;
-    int var = -1;
-    double lower = 0.0;
-    double upper = 0.0;
-    double bound = -kLpInfinity;
-    std::shared_ptr<const Basis> warm;
-  };
-  struct Entry {
-    double bound;
-    long id;
-    std::shared_ptr<const FNode> node;
-    bool operator<(const Entry& other) const {
-      if (bound != other.bound) return bound < other.bound;
-      return id < other.id;
-    }
-  };
-
-  bool have_incumbent = false;
-  double incumbent_obj = kLpInfinity;
-  std::vector<double> incumbent;
-  auto offer = [&](const std::vector<double>& x) {
-    std::vector<double> rounded = x;
-    for (int j = 0; j < model.num_variables(); ++j) {
-      if (model.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
-    }
-    if (!model.CheckFeasible(rounded, 1e-5).ok()) return;
-    const double objective = model.EvaluateObjective(rounded);
-    if (have_incumbent && objective >= incumbent_obj) return;
-    have_incumbent = true;
-    incumbent_obj = objective;
-    incumbent = std::move(rounded);
-  };
-  if (options.initial_solution != nullptr) {
-    offer(*options.initial_solution);
-  }
-
-  std::set<Entry> open;
-  long next_id = 0;
-  {
-    auto root_node = std::make_shared<FNode>();
-    root_node->warm = options.root_basis;
-    open.insert({root_node->bound, next_id++, root_node});
-  }
-
-  std::vector<std::pair<double, double>> bounds(model.num_variables());
-  bool any_lp_failure = false;
-  double root_bound = -kLpInfinity;
-  const int unit_target = std::max(target_units, 1);
-  bool first_node = true;
-
-  while (!open.empty() && static_cast<int>(open.size()) < unit_target) {
-    if (deadline.Expired() || Cancelled(options) ||
-        (options.max_nodes > 0 && root.nodes >= options.max_nodes)) {
-      break;  // hand off whatever is open
-    }
-    auto it = open.begin();
-    std::shared_ptr<const FNode> node = it->node;
-    open.erase(it);
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, node->bound, options.relative_gap)) {
-      continue;
-    }
-
-    ++root.nodes;
-    BnbNodesTotal().Increment();
-    Span node_span("frontier_node", "mip", ObsLevel::kFull);
-    node_span.AddArg("bound", node->bound);
-
-    for (int j = 0; j < model.num_variables(); ++j) {
-      bounds[j] = {model.variable(j).lower, model.variable(j).upper};
-    }
-    for (const FNode* n = node.get(); n != nullptr; n = n->parent.get()) {
-      if (n->var < 0) continue;
-      bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
-      bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
-    }
-
-    LpSolveStats delta;
-    LpResult lp = node_lp.Solve(bounds, node->warm.get(),
-                                NodeLpBudget(deadline, options), delta);
-    root.lp_stats.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) continue;
-    if (lp.status == LpStatus::kUnbounded) {
-      VPART_LOG(Warning) << "LP relaxation unbounded at frontier node";
-      continue;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure = true;
-      continue;
-    }
-    if (first_node) {
-      first_node = false;
-      root_bound = lp.objective;
-      if (node_lp.warm_enabled()) {
-        Basis saved = node_lp.SaveBasis();
-        if (saved.valid()) {
-          root.root_basis = std::make_shared<const Basis>(std::move(saved));
-        }
-      }
-    }
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, lp.objective, options.relative_gap)) {
-      continue;
-    }
-
-    const int branch_var =
-        MostFractionalVariable(model, options.integrality_tol, lp.values);
-    if (branch_var < 0) {
-      offer(lp.values);
-      continue;
-    }
-
-    std::shared_ptr<const Basis> child_warm;
-    if (node_lp.warm_enabled()) {
-      Basis saved = node_lp.SaveBasis();
-      if (saved.valid()) {
-        child_warm = std::make_shared<const Basis>(std::move(saved));
-      }
-    }
-
-    const double value = lp.values[branch_var];
-    const double floor_value = std::floor(value);
-
-    auto down = std::make_shared<FNode>();
-    down->parent = node;
-    down->var = branch_var;
-    down->lower = bounds[branch_var].first;
-    down->upper = floor_value;
-    down->bound = lp.objective;
-    down->warm = child_warm;
-
-    auto up = std::make_shared<FNode>();
-    up->parent = node;
-    up->var = branch_var;
-    up->lower = floor_value + 1.0;
-    up->upper = bounds[branch_var].second;
-    up->bound = lp.objective;
-    up->warm = child_warm;
-
-    // The LP-preferred child gets the smaller id, mirroring the searches'
-    // plunge order under equal bounds.
-    const bool prefer_up = (value - floor_value) > 0.5;
-    open.insert({lp.objective, next_id++, prefer_up ? up : down});
-    open.insert({lp.objective, next_id++, prefer_up ? down : up});
-  }
-
-  // Emit the surviving open nodes as units; nodes the incumbent found later
-  // in the expansion already proves are dropped here instead of shipped.
-  for (const Entry& entry : open) {
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, entry.bound, options.relative_gap)) {
-      continue;
-    }
-    FrontierUnit unit;
-    unit.id = entry.id;
-    unit.bound = std::isfinite(entry.bound) ? entry.bound : root_bound;
-    unit.basis = entry.node->warm;
-    // Per-column intersection of the chain's tightenings (each column is
-    // tightened monotonically, so intersecting is exact).
-    std::map<int, std::pair<double, double>> fixed;
-    for (const FNode* n = entry.node.get(); n != nullptr;
-         n = n->parent.get()) {
-      if (n->var < 0) continue;
-      auto [pos, inserted] =
-          fixed.emplace(n->var, std::make_pair(n->lower, n->upper));
-      if (!inserted) {
-        pos->second.first = std::max(pos->second.first, n->lower);
-        pos->second.second = std::min(pos->second.second, n->upper);
-      }
-    }
-    unit.fixings.reserve(fixed.size());
-    for (const auto& [column, range] : fixed) {
-      unit.fixings.push_back({column, range.first, range.second});
-    }
-    out.units.push_back(std::move(unit));
-  }
-
-  out.clean = !any_lp_failure;
-  root.seconds = watch.ElapsedSeconds();
-  root.lp_iterations = root.lp_stats.total_iterations();
-  if (have_incumbent) {
-    root.objective = incumbent_obj;
-    root.values = incumbent;
-  }
-  if (out.units.empty()) {
-    // Nothing to delegate: the expansion itself closed the tree (or dropped
-    // subtrees — then `clean` is false and no optimality is claimed).
-    root.best_bound = (out.clean && have_incumbent)
-                          ? incumbent_obj
-                          : (std::isfinite(root_bound) ? root_bound
-                                                       : -kLpInfinity);
-    FinalizeStatus(have_incumbent, incumbent_obj, kLpInfinity, out.clean,
-                   /*closed=*/false, /*pruned_by_external=*/false, root);
-  } else {
-    double open_min = kLpInfinity;
-    for (const FrontierUnit& unit : out.units) {
-      open_min = std::min(open_min, unit.bound);
-    }
-    root.best_bound = std::isfinite(open_min) ? open_min : root_bound;
-    root.search_exhausted = false;
-    root.status =
-        have_incumbent ? MipStatus::kFeasible : MipStatus::kNoSolution;
-  }
-  return out;
+  TreeSearch search(model, options, /*best_first=*/true,
+                    static_cast<size_t>(std::max(target_units, 1)));
+  search.Run(/*workers=*/1);
+  return search.Export();
 }
 
 }  // namespace vpart

@@ -72,10 +72,12 @@ struct MipOptions {
   /// root and periodically until an incumbent exists. Cheap primal
   /// heuristic standing in for the ones inside industrial solvers.
   bool enable_dive = true;
-  /// Tree-search workers. 1 keeps the classic depth-first serial search;
-  /// > 1 fans subproblem nodes out to a pool over a mutex-guarded
-  /// best-first queue with an atomic incumbent. The proven objective value
-  /// is thread-count-independent (see DESIGN.md's determinism contract).
+  /// Tree-search workers, each with its own simplex engine. 1 searches
+  /// depth-first on the caller's thread and starts no thread; > 1 runs
+  /// that many workers (the caller's thread plus num_threads − 1) over one
+  /// best-first open set with a shared incumbent. The proven objective
+  /// value is thread-count-independent (see DESIGN.md's determinism
+  /// contract).
   int num_threads = 1;
   /// Externally shared incumbent objective (e.g. a racing SA solver's best,
   /// in the model's own objective space). Nodes whose relaxation cannot
@@ -89,25 +91,22 @@ struct MipOptions {
   /// and every `progress_node_interval` processed nodes (without). With
   /// num_threads > 1 the callback runs on whichever worker produced the
   /// event, outside the search lock — it must be thread-safe and cheap.
+  /// An exception it throws stops every worker and reaches the caller.
   std::function<void(const MipProgress&)> progress;
   long progress_node_interval = 256;
 };
 
-struct MipResult {
-  MipStatus status = MipStatus::kNoSolution;
-  /// Incumbent objective (valid unless status is kInfeasible/kNoSolution).
-  double objective = 0.0;
+/// What a tree search establishes beyond its incumbent. One record carries
+/// it from MipResult up to the advise layer (IlpSolveResult, PortfolioLane,
+/// PortfolioResult, SolverRun), where AdviseResponse flattens it.
+struct SearchProof {
+  /// Nodes processed.
+  long nodes = 0;
+  /// Node- and dive-LP telemetry: warm vs cold starts, pivot mix,
+  /// factorizations, LP wall clock (see lp/solve_stats.h).
+  LpSolveStats lp_stats;
   /// Best proven lower bound (minimization).
   double best_bound = -kLpInfinity;
-  std::vector<double> values;
-  long nodes = 0;
-  /// Total simplex pivots across all node LPs (primal + dual); equals
-  /// lp_stats.total_iterations().
-  long lp_iterations = 0;
-  /// Per-solve telemetry: warm vs cold starts, pivot mix, factorizations,
-  /// LP wall clock (see lp/solve_stats.h).
-  LpSolveStats lp_stats;
-  double seconds = 0.0;
   /// The tree was searched to exhaustion (no deadline/node/cancel stop and
   /// no LP failure dropped a node). Together with `pruned_by_external_bound`
   /// this lets a portfolio conclude global optimality: an exhausted search
@@ -121,17 +120,31 @@ struct MipResult {
   /// reach optimality or warm starting was off). Feed it to a later solve's
   /// MipOptions::root_basis to skip the cold two-phase primal at its root.
   std::shared_ptr<const Basis> root_basis;
+};
+
+struct MipResult {
+  MipStatus status = MipStatus::kNoSolution;
+  /// Incumbent objective (valid unless status is kInfeasible/kNoSolution).
+  double objective = 0.0;
+  std::vector<double> values;
+  double seconds = 0.0;
+  SearchProof proof;
 
   bool has_incumbent() const {
     return status == MipStatus::kOptimal || status == MipStatus::kFeasible;
   }
-  /// Relative gap in percent (0 when proved optimal with equal bounds).
-  double GapPercent() const;
 };
 
-/// Solves min c·x over `model` with branch & bound: depth-first plunging on
-/// the most fractional binary, LP relaxations via SolveLp with per-node
-/// bound overrides, best-bound tracking for the gap criterion.
+/// (incumbent − bound) / |incumbent| in percent, floored at 0; 100 when
+/// either side is not finite.
+double GapPercent(double incumbent, double bound);
+
+/// Solves min c·x over `model` with branch & bound on the most fractional
+/// binary. Each worker reoptimizes a node's LP with the dual simplex from
+/// its parent's basis (cold two-phase primal as the fallback), dives for an
+/// incumbent at the root, and tracks the best bound for the gap criterion.
+/// One worker plunges depth-first; several search best-first (see
+/// MipOptions::num_threads).
 MipResult SolveMip(const LpModel& model, const MipOptions& options = {});
 
 }  // namespace vpart

@@ -8,9 +8,9 @@
 
 namespace vpart {
 
-/// Frontier expansion for distributed subtree solving (src/dist/): a short
-/// serial best-first branch & bound run over the root that stops once the
-/// open set holds `target_units` nodes, then hands those nodes off as
+/// Frontier expansion for distributed subtree solving (src/dist/): the
+/// same search core as SolveMip, run best-first on one worker until the
+/// open set holds `target_units` nodes, which it then hands off as
 /// self-contained work units. Each unit is a subtree root described by the
 /// branching fixings that reach it — a set of per-column bound tightenings
 /// over the original model — plus its parent's LP bound and optimal basis,
@@ -47,10 +47,10 @@ struct FrontierUnit {
 struct FrontierExpansion {
   /// What the expansion itself established: nodes/LP telemetry, the root
   /// relaxation's bound and basis, and any incumbent found along the way
-  /// (initial_solution, integral relaxations). When `units` is empty the
-  /// expansion solved or closed the whole tree and `root` is a complete
-  /// MipResult with the usual proof flags; otherwise root.status is at most
-  /// kFeasible and the proof is delegated to the units.
+  /// (initial_solution, the root dive, integral relaxations). When `units`
+  /// is empty the expansion solved or closed the whole tree and `root` is a
+  /// complete MipResult with the usual proof flags; otherwise root.status
+  /// is at most kFeasible and the proof is delegated to the units.
   MipResult root;
   std::vector<FrontierUnit> units;
   /// No subtree was silently dropped (LP failures) during expansion. Global
@@ -60,9 +60,10 @@ struct FrontierExpansion {
 };
 
 /// Expands the tree best-first until `target_units` nodes are open (or the
-/// tree is exhausted / a limit from `options` fires). Honors
-/// options.initial_solution, root_basis, time_limit_seconds, cancel_flag
-/// and relative_gap; runs serially regardless of options.num_threads.
+/// tree is exhausted / a limit from `options` fires), then exports the open
+/// nodes that the incumbent does not already close. Honors every
+/// MipOptions field SolveMip does — enable_dive included — except
+/// num_threads: the expansion runs one worker on the caller's thread.
 FrontierExpansion ExpandFrontier(const LpModel& model,
                                  const MipOptions& options, int target_units);
 

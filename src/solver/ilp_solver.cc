@@ -50,14 +50,7 @@ IlpSolveResult SolveWithIlp(const CostCoefficients& cost_model,
   IlpSolveResult result;
   result.status = mip.status;
   result.seconds = mip.seconds;
-  result.nodes = mip.nodes;
-  result.lp_iterations = mip.lp_iterations;
-  result.lp_stats = mip.lp_stats;
-  result.best_bound = mip.best_bound;
-  result.gap_percent = mip.GapPercent();
-  result.search_exhausted = mip.search_exhausted;
-  result.pruned_by_external_bound = mip.pruned_by_external_bound;
-  result.root_basis = mip.root_basis;
+  result.proof = std::move(mip.proof);
   if (mip.has_incumbent()) {
     Partitioning p = formulation.ExtractPartitioning(mip.values);
     Status feasible = ValidatePartitioning(

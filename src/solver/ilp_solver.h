@@ -44,23 +44,11 @@ struct IlpSolveResult {
   double cost = 0.0;
   /// Eq. (6) value (what the MIP minimized).
   double scalarized = 0.0;
-  double best_bound = -kLpInfinity;
-  double gap_percent = 100.0;
   double seconds = 0.0;
-  long nodes = 0;
-  /// Total simplex pivots across all node LPs, and the warm/cold start
-  /// telemetry behind them (mirrors MipResult; see lp/solve_stats.h).
-  long lp_iterations = 0;
-  LpSolveStats lp_stats;
+  /// The branch & bound's proof record; its root basis is cached by the
+  /// serve layer to seed future same-shaped solves.
+  SearchProof proof;
   std::optional<Partitioning> partitioning;
-  /// Mirrors of MipResult's proof flags (see mip/branch_and_bound.h): the
-  /// tree search finished its proof, and whether an externally shared
-  /// incumbent bound (portfolio racing) contributed cuts.
-  bool search_exhausted = false;
-  bool pruned_by_external_bound = false;
-  /// Terminal basis of the root relaxation (see MipResult::root_basis);
-  /// cached by the serve layer to seed future same-shaped solves.
-  std::shared_ptr<const Basis> root_basis;
 
   bool ok() const { return partitioning.has_value(); }
   bool timed_out() const {

@@ -92,6 +92,9 @@ class StatusOr {
     return std::move(*value_);
   }
 
+  /// The value when ok(), `fallback` otherwise.
+  T value_or(T fallback) const& { return ok() ? *value_ : fallback; }
+
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
   const T* operator->() const { return &value(); }

@@ -86,6 +86,58 @@ TEST(DistWireTest, MalformedFixingsAreRejected) {
   EXPECT_FALSE(DecodeFixings(crossed).ok());
 }
 
+// A peer's column must be an integer in [0, INT_MAX] before it reaches an
+// int: 1e300 would overflow the cast (undefined behaviour), and 2.5 would
+// silently fix column 2.
+TEST(DistWireTest, FixingColumnsMustBeColumnIndices) {
+  for (const char* text : {"[[1e300, 0, 1]]", "[[2.5, 0, 1]]",
+                           "[[-1, 0, 1]]", "[[\"3\", 0, 1]]"}) {
+    SCOPED_TRACE(text);
+    StatusOr<JsonValue> fixings = JsonValue::Parse(text);
+    ASSERT_TRUE(fixings.ok());
+    StatusOr<std::vector<BoundFix>> decoded = DecodeFixings(*fixings);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(DistWireTest, BasisRowsMustBeColumnIndices) {
+  for (const char* text : {R"({"rows": [0, 1e300], "states": "01"})",
+                           R"({"rows": [0, 2.5], "states": "01"})",
+                           R"({"rows": [-1, 0], "states": "01"})"}) {
+    SCOPED_TRACE(text);
+    StatusOr<JsonValue> basis = JsonValue::Parse(text);
+    ASSERT_TRUE(basis.ok());
+    StatusOr<std::shared_ptr<const Basis>> decoded = DecodeBasis(*basis);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Every other peer integer goes through LongField: absent is the fallback,
+// anything but an integer within ±2^53 is an error.
+TEST(DistWireTest, PeerIntegersAreChecked) {
+  StatusOr<JsonValue> message = JsonValue::Parse(
+      R"({"id": 7, "huge": 1e300, "fraction": 2.5, "text": "7"})");
+  ASSERT_TRUE(message.ok());
+  EXPECT_EQ(LongField(*message, "missing", -1).value_or(0), -1);
+  EXPECT_EQ(LongField(*message, "id", -1).value_or(0), 7);
+  for (const char* key : {"huge", "fraction", "text"}) {
+    SCOPED_TRACE(key);
+    StatusOr<long> value = LongField(*message, key, -1);
+    ASSERT_FALSE(value.ok());
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  StatusOr<JsonValue> stats = JsonValue::Parse(R"({"lp_solves": 1e300})");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(DecodeLpStats(*stats).ok());
+  StatusOr<JsonValue> mip =
+      JsonValue::Parse(R"({"status": "INFEASIBLE", "nodes": 2.5})");
+  ASSERT_TRUE(mip.ok());
+  EXPECT_FALSE(DecodeMipResult(*mip).ok());
+}
+
 TEST(DistWireTest, LpStatsRoundTripAllCounters) {
   LpSolveStats stats;
   stats.lp_solves = 20;
@@ -132,33 +184,32 @@ TEST(DistWireTest, MipResultRoundTripWithIncumbent) {
   MipResult result;
   result.status = MipStatus::kOptimal;
   result.objective = 4088.0000000000001;  // exercise the %.17g tail
-  result.best_bound = 4087.9993279999999;
+  result.proof.best_bound = 4087.9993279999999;
   result.values = {1.0, 0.0, 1.0, 0.25, 0.0};
-  result.nodes = 1323;
-  result.lp_stats.primal_iterations = 40;
-  result.lp_stats.dual_iterations = 60;
-  result.lp_iterations = 100;
+  result.proof.nodes = 1323;
+  result.proof.lp_stats.primal_iterations = 40;
+  result.proof.lp_stats.dual_iterations = 60;
   result.seconds = 7.5;
-  result.search_exhausted = true;
-  result.pruned_by_external_bound = true;
+  result.proof.search_exhausted = true;
+  result.proof.pruned_by_external_bound = true;
 
   auto decoded = DecodeMipResult(EncodeMipResult(result));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->status, MipStatus::kOptimal);
   EXPECT_EQ(decoded->objective, result.objective);
-  EXPECT_EQ(decoded->best_bound, result.best_bound);
+  EXPECT_EQ(decoded->proof.best_bound, result.proof.best_bound);
   EXPECT_EQ(decoded->values, result.values);
-  EXPECT_EQ(decoded->nodes, result.nodes);
-  EXPECT_EQ(decoded->lp_iterations, 100);
-  EXPECT_TRUE(decoded->search_exhausted);
-  EXPECT_TRUE(decoded->pruned_by_external_bound);
+  EXPECT_EQ(decoded->proof.nodes, result.proof.nodes);
+  EXPECT_EQ(decoded->proof.lp_stats.total_iterations(), 100);
+  EXPECT_TRUE(decoded->proof.search_exhausted);
+  EXPECT_TRUE(decoded->proof.pruned_by_external_bound);
 }
 
 TEST(DistWireTest, InfeasibleMipResultShipsNoIncumbentOrBound) {
   MipResult result;
   result.status = MipStatus::kInfeasible;
-  result.best_bound = -kLpInfinity;  // non-finite: must not serialize
-  result.search_exhausted = true;
+  result.proof.best_bound = -kLpInfinity;  // non-finite: must not serialize
+  result.proof.search_exhausted = true;
 
   const JsonValue encoded = EncodeMipResult(result);
   EXPECT_EQ(encoded.Find("objective"), nullptr);
@@ -169,8 +220,8 @@ TEST(DistWireTest, InfeasibleMipResultShipsNoIncumbentOrBound) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->status, MipStatus::kInfeasible);
   EXPECT_FALSE(decoded->has_incumbent());
-  EXPECT_EQ(decoded->best_bound, -kLpInfinity);
-  EXPECT_TRUE(decoded->search_exhausted);
+  EXPECT_EQ(decoded->proof.best_bound, -kLpInfinity);
+  EXPECT_TRUE(decoded->proof.search_exhausted);
 }
 
 TEST(DistWireTest, MipResultRejectsUnknownStatus) {

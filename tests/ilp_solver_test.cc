@@ -150,9 +150,8 @@ TEST(IlpSolverTest, SolvesTheObviousSplitOptimally) {
   EXPECT_TRUE(
       ValidatePartitioning(instance, *result.partitioning).ok());
   // The node-LP telemetry rides along from the branch & bound.
-  EXPECT_GT(result.lp_stats.lp_solves, 0);
-  EXPECT_GE(result.lp_stats.cold_starts, 1);
-  EXPECT_EQ(result.lp_iterations, result.lp_stats.total_iterations());
+  EXPECT_GT(result.proof.lp_stats.lp_solves, 0);
+  EXPECT_GE(result.proof.lp_stats.cold_starts, 1);
 }
 
 TEST(IlpSolverTest, DisjointModeEnforced) {

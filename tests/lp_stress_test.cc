@@ -140,7 +140,7 @@ TEST(MipStressTest, ContinuousModelsPassThrough) {
     ASSERT_EQ(mip.status, MipStatus::kOptimal);
     EXPECT_NEAR(lp.objective, mip.objective,
                 1e-7 * (1 + std::abs(lp.objective)));
-    EXPECT_EQ(mip.nodes, 1);
+    EXPECT_EQ(mip.proof.nodes, 1);
   }
 }
 

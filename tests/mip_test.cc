@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
 
+#include "cost/cost_model.h"
+#include "instances/random_instance.h"
 #include "mip/branch_and_bound.h"
+#include "mip/frontier.h"
+#include "solver/attribute_groups.h"
+#include "solver/formulation.h"
 #include "util/rng.h"
 
 namespace vpart {
@@ -77,7 +85,7 @@ TEST(MipTest, IntegralityGapClosed) {
   MipResult result = SolveMip(model, Exact());
   ASSERT_EQ(result.status, MipStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2, kTol);
-  EXPECT_NEAR(result.best_bound, 2, 1e-4);
+  EXPECT_NEAR(result.proof.best_bound, 2, 1e-4);
 }
 
 TEST(MipTest, MixedIntegerContinuous) {
@@ -142,7 +150,7 @@ TEST(MipTest, NodeLimitReportsIncumbentAsFeasible) {
   EXPECT_EQ(result.status, MipStatus::kFeasible);
   EXPECT_TRUE(result.has_incumbent());
   EXPECT_NEAR(result.objective, -17, kTol);
-  EXPECT_GT(result.GapPercent(), 0.0);
+  EXPECT_GT(GapPercent(result.objective, result.proof.best_bound), 0.0);
 }
 
 TEST(MipTest, RootDiveFindsIncumbentWithoutWarmStart) {
@@ -170,7 +178,7 @@ TEST(MipTest, PureLpNeedsNoBranching) {
   MipResult result = SolveMip(model, Exact());
   ASSERT_EQ(result.status, MipStatus::kOptimal);
   EXPECT_NEAR(result.objective, -3, kTol);
-  EXPECT_EQ(result.nodes, 1);
+  EXPECT_EQ(result.proof.nodes, 1);
 }
 
 TEST(MipTest, GapToleranceStopsEarly) {
@@ -196,12 +204,11 @@ TEST(MipTest, WarmStartTelemetryIsPopulated) {
   MipResult result = SolveMip(model, Exact());
   ASSERT_EQ(result.status, MipStatus::kOptimal);
   // Every node LP is accounted for, the root is cold, children reoptimize
-  // off the parent basis, and lp_iterations mirrors the stats totals.
-  EXPECT_GT(result.lp_stats.lp_solves, 0);
-  EXPECT_GE(result.lp_stats.cold_starts, 1);
-  EXPECT_GT(result.lp_stats.warm_starts, 0);
-  EXPECT_EQ(result.lp_iterations, result.lp_stats.total_iterations());
-  EXPECT_GT(result.lp_stats.lp_seconds, 0.0);
+  // off the parent basis.
+  EXPECT_GT(result.proof.lp_stats.lp_solves, 0);
+  EXPECT_GE(result.proof.lp_stats.cold_starts, 1);
+  EXPECT_GT(result.proof.lp_stats.warm_starts, 0);
+  EXPECT_GT(result.proof.lp_stats.lp_seconds, 0.0);
 }
 
 TEST(MipTest, ColdModeDisablesWarmStarts) {
@@ -213,9 +220,35 @@ TEST(MipTest, ColdModeDisablesWarmStarts) {
   options.use_warm_start = false;
   MipResult result = SolveMip(model, options);
   ASSERT_EQ(result.status, MipStatus::kOptimal);
-  EXPECT_EQ(result.lp_stats.warm_starts, 0);
-  EXPECT_EQ(result.lp_stats.dual_iterations, 0);
-  EXPECT_EQ(result.lp_stats.cold_starts, result.lp_stats.lp_solves);
+  EXPECT_EQ(result.proof.lp_stats.warm_starts, 0);
+  EXPECT_EQ(result.proof.lp_stats.dual_iterations, 0);
+  EXPECT_EQ(result.proof.lp_stats.cold_starts,
+            result.proof.lp_stats.lp_solves);
+}
+
+// One worker searches on the caller's thread: every progress event (node
+// ticks and incumbents) fires there, so a serial proof starts no thread.
+TEST(MipTest, OneWorkerRunsOnTheCallersThread) {
+  LpModel model;
+  int x0 = model.AddBinaryVariable(-10);
+  int x1 = model.AddBinaryVariable(-13);
+  int x2 = model.AddBinaryVariable(-7);
+  int x3 = model.AddBinaryVariable(-8);
+  model.AddConstraint(ConstraintSense::kLessEqual, 7,
+                      {{x0, 3}, {x1, 4}, {x2, 2}, {x3, 3}});
+  MipOptions options = Exact();
+  options.progress_node_interval = 1;
+  long events = 0;
+  bool off_thread = false;
+  const std::thread::id caller = std::this_thread::get_id();
+  options.progress = [&](const MipProgress&) {
+    ++events;
+    off_thread = off_thread || std::this_thread::get_id() != caller;
+  };
+  const MipResult result = SolveMip(model, options);
+  ASSERT_EQ(result.status, MipStatus::kOptimal);
+  EXPECT_GE(events, result.proof.nodes);
+  EXPECT_FALSE(off_thread);
 }
 
 // Warm-started and cold searches must prove the same optimum (the trees may
@@ -298,6 +331,61 @@ TEST(MipTest, MatchesBruteForceOnRandomInstances) {
     ASSERT_EQ(result.status, MipStatus::kOptimal) << "trial " << trial;
     EXPECT_NEAR(result.objective, best, 1e-5) << "trial " << trial;
   }
+}
+
+// The attribute-grouped rndAt8x15@2 eq.-(7) model (p = 8, λ = 0.1): its
+// tree is deep enough to fill an 8-unit frontier.
+class FrontierTest : public ::testing::Test {
+ protected:
+  static constexpr int kUnits = 8;
+
+  void SetUp() override {
+    StatusOr<Instance> instance = MakeNamedRandomInstance("rndAt8x15");
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    StatusOr<AttributeGrouping> grouping = BuildAttributeGrouping(*instance);
+    ASSERT_TRUE(grouping.ok()) << grouping.status().ToString();
+    const CostModel cost(&grouping->reduced, {.p = 8, .lambda = 0.1});
+    FormulationOptions formulation;
+    formulation.num_sites = 2;
+    model_ = BuildIlpFormulation(cost, formulation).model;
+  }
+
+  LpModel model_;
+};
+
+// Without a warm start the expansion's own root dive is what ships the
+// units with an incumbent to prune against.
+TEST_F(FrontierTest, ExpansionDivesForAnIncumbent) {
+  const FrontierExpansion expansion =
+      ExpandFrontier(model_, MipOptions(), kUnits);
+  ASSERT_TRUE(expansion.root.has_incumbent());
+  EXPECT_TRUE(model_.CheckFeasible(expansion.root.values, 1e-6).ok());
+  EXPECT_FALSE(expansion.units.empty());
+}
+
+// The frontier is sound: its incumbent and the units, each searched to
+// exhaustion from its fixings and shipped basis, find the serial optimum.
+TEST_F(FrontierTest, UnitsCoverTheTree) {
+  const FrontierExpansion expansion = ExpandFrontier(model_, Exact(), kUnits);
+  ASSERT_TRUE(expansion.clean);
+  ASSERT_FALSE(expansion.units.empty());
+  double best = expansion.root.has_incumbent() ? expansion.root.objective
+                                               : kLpInfinity;
+  for (const FrontierUnit& unit : expansion.units) {
+    SCOPED_TRACE("unit " + std::to_string(unit.id));
+    LpModel subtree = model_;
+    for (const BoundFix& fix : unit.fixings) {
+      subtree.SetVariableBounds(fix.column, fix.lower, fix.upper);
+    }
+    MipOptions options = Exact();
+    options.root_basis = unit.basis;
+    const MipResult result = SolveMip(subtree, options);
+    ASSERT_TRUE(result.proof.search_exhausted);
+    if (result.has_incumbent()) best = std::min(best, result.objective);
+  }
+  const MipResult serial = SolveMip(model_, Exact());
+  ASSERT_EQ(serial.status, MipStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(best, serial.objective);
 }
 
 }  // namespace

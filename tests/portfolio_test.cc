@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 
 #include "api/advise.h"
 #include "api/solver_registry.h"
@@ -137,7 +138,7 @@ TEST(ParallelMipTest, MatchesSerialObjectiveOnRandomBinaryPrograms) {
       EXPECT_NEAR(serial.objective, parallel.objective, 1e-6)
           << "trial " << trial;
     }
-    EXPECT_TRUE(parallel.search_exhausted) << "trial " << trial;
+    EXPECT_TRUE(parallel.proof.search_exhausted) << "trial " << trial;
   }
 }
 
@@ -183,8 +184,8 @@ TEST(ParallelMipTest, ExternalBoundBelowOptimumProvesNothingBetter) {
     options.external_upper_bound = &external;
     MipResult result = SolveMip(model, options);
     EXPECT_FALSE(result.has_incumbent()) << threads << " threads";
-    EXPECT_TRUE(result.pruned_by_external_bound) << threads << " threads";
-    EXPECT_TRUE(result.search_exhausted) << threads << " threads";
+    EXPECT_TRUE(result.proof.pruned_by_external_bound) << threads << " threads";
+    EXPECT_TRUE(result.proof.search_exhausted) << threads << " threads";
   }
 }
 
@@ -200,7 +201,27 @@ TEST(ParallelMipTest, LooseExternalBoundDoesNotChangeTheOptimum) {
     MipResult result = SolveMip(model, options);
     ASSERT_EQ(result.status, MipStatus::kOptimal) << threads << " threads";
     EXPECT_NEAR(result.objective, -13, 1e-6) << threads << " threads";
-    EXPECT_FALSE(result.pruned_by_external_bound) << threads << " threads";
+    EXPECT_FALSE(result.proof.pruned_by_external_bound) << threads << " threads";
+  }
+}
+
+// A worker whose progress callback throws stops every worker, and the
+// exception reaches the caller once they joined. The tick at the root
+// throws while its node is in flight, so siblings waiting for that node
+// to branch must be released too.
+TEST(ParallelMipTest, CallbackExceptionReachesTheCaller) {
+  LpModel model;
+  int x0 = model.AddBinaryVariable(-10);
+  int x1 = model.AddBinaryVariable(-13);
+  model.AddConstraint(ConstraintSense::kLessEqual, 4, {{x0, 3}, {x1, 4}});
+  for (int threads : {1, 4}) {
+    MipOptions options = ExactMip(threads);
+    options.progress_node_interval = 1;
+    options.progress = [](const MipProgress&) {
+      throw std::runtime_error("progress sink failed");
+    };
+    EXPECT_THROW(SolveMip(model, options), std::runtime_error)
+        << threads << " threads";
   }
 }
 
@@ -218,7 +239,7 @@ TEST(ParallelMipTest, CancelFlagStopsTheSearch) {
     MipResult result = SolveMip(model, options);
     EXPECT_EQ(result.status, MipStatus::kNoSolution)
         << threads << " threads";
-    EXPECT_FALSE(result.search_exhausted) << threads << " threads";
+    EXPECT_FALSE(result.proof.search_exhausted) << threads << " threads";
   }
 }
 

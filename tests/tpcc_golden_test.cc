@@ -11,6 +11,7 @@
 
 #include "api/advise.h"
 #include "cost/cost_model.h"
+#include "instances/random_instance.h"
 #include "instances/tpcc.h"
 #include "mip/branch_and_bound.h"
 #include "obs/trace.h"
@@ -140,11 +141,14 @@ TEST_F(TpccGoldenTest, IlpWarmStartProvesTheSameOptimumInHalfThePivots) {
   ASSERT_EQ(cold.status, MipStatus::kOptimal);
   // The same optimum, up to round-off in the last digits of the LP values.
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * cold.objective);
-  EXPECT_GT(warm.lp_stats.warm_starts, 0);
-  EXPECT_EQ(cold.lp_stats.warm_starts, 0);
-  EXPECT_LE(warm.lp_iterations, cold.lp_iterations / 2)
-      << "warm " << warm.lp_iterations << " vs cold " << cold.lp_iterations;
-  EXPECT_LT(warm.lp_stats.factorizations, cold.lp_stats.factorizations);
+  const LpSolveStats& warm_lp = warm.proof.lp_stats;
+  const LpSolveStats& cold_lp = cold.proof.lp_stats;
+  EXPECT_GT(warm_lp.warm_starts, 0);
+  EXPECT_EQ(cold_lp.warm_starts, 0);
+  EXPECT_LE(warm_lp.total_iterations(), cold_lp.total_iterations() / 2)
+      << "warm " << warm_lp.total_iterations() << " vs cold "
+      << cold_lp.total_iterations();
+  EXPECT_LT(warm_lp.factorizations, cold_lp.factorizations);
 }
 
 // The exact pivot path of the request-level ILP proofs. The LP kernels
@@ -203,6 +207,30 @@ TEST_F(TpccGoldenTest, IlpProofPivotPathIsPinned) {
       }
     }
   }
+}
+
+// A deep serial tree beside TPC-C's 3-node ones: every step of the
+// depth-first search (prune, dive, branching side, incumbent offer) is on
+// the path, so a search change that reorders any of them moves these
+// counts. No SA warm start: a time-capped anneal would make the tree
+// depend on machine speed.
+TEST(IlpProofPinTest, Random8x15TwoSiteTreeIsPinned) {
+  StatusOr<Instance> instance = MakeNamedRandomInstance("rndAt8x15");
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  AdviseRequest request;
+  request.solver = "ilp";
+  request.num_sites = 2;
+  request.certify = true;
+  request.ilp.warm_start_seconds = 0;
+  StatusOr<AdviseResponse> response = Advise(*instance, request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->result.proven_optimal);
+  ASSERT_TRUE(response->certified);
+  EXPECT_EQ(response->result.cost, 4088.0);
+  EXPECT_EQ(response->bnb_nodes, 348);
+  EXPECT_EQ(response->lp_stats.total_iterations(), 14728);
+  EXPECT_EQ(response->lp_stats.factorizations, 239);
+  EXPECT_EQ(response->lp_stats.lp_solves, 355);
 }
 
 TEST_F(TpccGoldenTest, PaperStructureOfTheThreeSiteOptimum) {
