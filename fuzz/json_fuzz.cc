@@ -1,6 +1,9 @@
-// Fuzz harness over the JSON surface: the raw document parser
-// (JsonValue::Parse), serialization of whatever parsed, and the full
-// request-schema path (ParseCliRequest). The contract under test: arbitrary
+// Fuzz harness over the surfaces that read peer bytes: the raw JSON
+// document parser (JsonValue::Parse), serialization of whatever parsed,
+// the request-schema path (ParseCliRequest), the .vpi instance text that
+// every worker job and every daemon {"text": ...} request carries
+// (ParseInstanceText), and a worker's unit answer (DecodeAdvisorResult,
+// which reaches ParsePartitioningText). The contract under test: arbitrary
 // bytes must produce a Status or a value — never a crash, hang, overflow,
 // or sanitizer report.
 //
@@ -18,8 +21,21 @@
 #include "api/json.h"
 #include "api/request_json.h"
 #include "dist/wire_messages.h"
+#include "workload/instance_io.h"
 
 namespace {
+
+/// The fixed instance unit answers are decoded against; the
+/// dist_unit_result_tables corpus seed names its transactions and
+/// attributes.
+const vpart::Instance& UnitInstance() {
+  static const vpart::Instance instance = *vpart::ParseInstanceText(
+      "instance fuzz\n"
+      "table R\nattr R a 4\nattr R b 8\n"
+      "txn T1\nquery T1 q1 read 10\nrows q1 R 1\nref q1 R.a\n"
+      "txn T2\nquery T2 q2 write 2\nrows q2 R 1\nref q2 R.b\n");
+  return instance;
+}
 
 void FuzzOne(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
@@ -28,26 +44,19 @@ void FuzzOne(const uint8_t* data, size_t size) {
   if (doc.ok()) {
     (void)doc->Serialize(2);
     (void)doc->Serialize(0);
-    // Distributed-wire decoders: what a coordinator/worker would do with
-    // a hostile peer's frame. Sub-payloads are tried whole-document too,
-    // so corpus entries can target one codec directly.
+    // Distributed-wire decoding: what a coordinator does with a hostile
+    // worker's frame. The answer is tried whole-document too, so corpus
+    // entries can target the codec directly.
     (void)vpart::DistMessageType(*doc);
-    (void)vpart::DecodeFixings(*doc);
-    (void)vpart::DecodeBasis(*doc);
-    (void)vpart::DecodeLpStats(*doc);
-    (void)vpart::DecodeMipResult(*doc);
-    if (const vpart::JsonValue* mip = doc->Find("mip")) {
-      (void)vpart::DecodeMipResult(*mip);
-    }
-    if (const vpart::JsonValue* basis = doc->Find("basis")) {
-      (void)vpart::DecodeBasis(*basis);
-    }
-    if (const vpart::JsonValue* fixings = doc->Find("fixings")) {
-      (void)vpart::DecodeFixings(*fixings);
+    (void)vpart::DecodeAdvisorResult(UnitInstance(), *doc);
+    if (const vpart::JsonValue* advisor = doc->Find("advisor")) {
+      (void)vpart::DecodeAdvisorResult(UnitInstance(), *advisor);
     }
   }
   // Schema layer on top: typed readers, unknown-key checks, enum parses.
   (void)vpart::ParseCliRequest(text);
+  // Instance text: directives, numbers, and the instance's own validation.
+  (void)vpart::ParseInstanceText(text);
 }
 
 }  // namespace

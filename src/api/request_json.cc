@@ -325,25 +325,6 @@ StatusOr<CliRequest> ParseCliRequest(const std::string& json_text) {
     }
     VPART_RETURN_IF_ERROR(serve_reader.CheckNoUnknownKeys());
   }
-  if (const JsonValue* dist = reader.Find("dist")) {
-    if (!dist->is_object()) {
-      return InvalidArgumentError("\"dist\" must be an object");
-    }
-    ObjectReader dist_reader(*dist, "\"dist\"");
-    VPART_RETURN_IF_ERROR(dist_reader.ReadString("mode", &cli.dist.mode));
-    VPART_RETURN_IF_ERROR(
-        dist_reader.ReadInt("frontier_units", &cli.dist.frontier_units));
-    VPART_RETURN_IF_ERROR(dist_reader.CheckNoUnknownKeys());
-    if (cli.dist.mode != "auto" && cli.dist.mode != "tables" &&
-        cli.dist.mode != "subtrees") {
-      return InvalidArgumentError(
-          "\"dist.mode\" must be \"auto\", \"tables\", or \"subtrees\" "
-          "(got \"" + cli.dist.mode + "\")");
-    }
-    if (cli.dist.frontier_units < 0) {
-      return InvalidArgumentError("\"dist.frontier_units\" must be >= 0");
-    }
-  }
   VPART_RETURN_IF_ERROR(reader.CheckNoUnknownKeys());
   if (instance_spec == nullptr) {
     return reader.MissingKeyError("instance");
@@ -453,10 +434,6 @@ JsonValue CliRequestToJson(const CliRequest& cli) {
   out.Set("batch", cli.batch);
   out.Set("emit_partitioning", cli.emit_partitioning);
   out.Set("emit_events", cli.emit_events);
-  JsonValue dist = JsonValue::MakeObject();
-  dist.Set("mode", cli.dist.mode);
-  dist.Set("frontier_units", cli.dist.frontier_units);
-  out.Set("dist", std::move(dist));
   return out;
 }
 

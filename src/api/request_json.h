@@ -47,9 +47,7 @@ namespace vpart {
 ///     "emit_partitioning": true,
 ///     "emit_events": false,
 ///     "serve": {"id": "req-1", "deadline_seconds": 10,
-///               "qos": "interactive"},            // daemon-mode envelope
-///     "dist": {"mode": "auto",                    // or "tables", "subtrees"
-///              "frontier_units": 0}               // 0 = 4x worker count
+///               "qos": "interactive"}             // daemon-mode envelope
 ///   }
 ///
 /// Only "instance" is required; everything else defaults as above.
@@ -69,19 +67,6 @@ struct ServeRequestOptions {
   ServeQos qos = ServeQos::kInteractive;
 };
 
-/// The "dist" block: how a coordinator (dist/coordinator.h) shards this
-/// request across worker processes. Ignored by the one-shot CLI and the
-/// serve daemon.
-struct DistRequestOptions {
-  /// "auto" (tables when "batch" is set, subtrees otherwise), "tables"
-  /// (per-table subinstances farmed out), or "subtrees" (B&B frontier
-  /// nodes farmed out).
-  std::string mode = "auto";
-  /// Target number of frontier units for subtree mode; 0 picks
-  /// 4x the worker count.
-  int frontier_units = 0;
-};
-
 struct CliRequest {
   // Exactly one of these is non-empty.
   std::string instance_file;
@@ -91,12 +76,13 @@ struct CliRequest {
 
   AdviseRequest request;
   /// Whole-schema mode: one independent solve per table through the
-  /// BatchAdvisor (request.num_threads tables advised concurrently).
+  /// BatchAdvisor (request.num_threads tables advised concurrently). The
+  /// only mode `vpart_cli --coordinator` runs: it farms the tables out to
+  /// worker processes instead.
   bool batch = false;
   bool emit_partitioning = true;
   bool emit_events = false;
   ServeRequestOptions serve;
-  DistRequestOptions dist;
 };
 
 /// Parses and validates the JSON text above.

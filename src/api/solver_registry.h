@@ -55,7 +55,7 @@ struct SolverRun {
   std::string algorithm;
   bool proven_optimal = false;
   /// Proof record of the branch & bound behind a proven_optimal claim (the
-  /// ilp solver, the portfolio's ILP lane, the dist coordinator). Its
+  /// ilp solver, the portfolio's ILP lane). Its
   /// best_bound is in scalarized (eq. 6) space of the solve instance and
   /// stays -inf for solvers that prove optimality without a bound
   /// (exhaustive enumeration only sets search_exhausted) or don't prove it

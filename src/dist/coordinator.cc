@@ -5,27 +5,19 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 
-#include "cost/partitioning.h"
+#include "api/request_json.h"
 #include "dist/wire_messages.h"
-#include "mip/frontier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "solver/formulation.h"
-#include "solver/latency.h"
-#include "solver/sa_solver.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "workload/instance_io.h"
 
 namespace vpart {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::string SelfExePath() {
   char buffer[4096];
@@ -42,13 +34,6 @@ Counter& RequeuesTotal() {
   return counter;
 }
 
-Counter& BroadcastsTotal() {
-  static Counter& counter = MetricsRegistry::Global().GetCounter(
-      "vpart_dist_incumbent_broadcasts_total",
-      "Incumbent objective broadcasts fanned out to workers");
-  return counter;
-}
-
 Counter& SessionsTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "vpart_dist_sessions_total", "Distributed solve sessions run");
@@ -56,22 +41,6 @@ Counter& SessionsTotal() {
 }
 
 }  // namespace
-
-/// Bridges the registry's Solver interface onto the coordinator so subtree
-/// solves ride the standard Advise() orchestration.
-class DistSolverAdapter : public Solver {
- public:
-  explicit DistSolverAdapter(DistCoordinator* coordinator)
-      : coordinator_(coordinator) {}
-  StatusOr<SolverRun> Solve(const CostCoefficients& cost_model,
-                            const AdviseRequest& request,
-                            const SolveContext& ctx) override {
-    return coordinator_->SolveSubtrees(cost_model, request, ctx);
-  }
-
- private:
-  DistCoordinator* coordinator_;
-};
 
 StatusOr<std::unique_ptr<DistCoordinator>> DistCoordinator::Start(
     const Options& options) {
@@ -116,20 +85,6 @@ Status DistCoordinator::StartImpl(const Options& options) {
         options_.num_workers, socket_path_.c_str(),
         options_.startup_timeout_seconds));
   }
-
-  SolverCapabilities capabilities;
-  capabilities.exact = true;
-  capabilities.latency_penalty = true;
-  capabilities.multi_threaded = true;
-  capabilities.anytime = true;
-  // The proven objective value is worker-count-independent; which of
-  // several equal-cost optima wins the incumbent race is not.
-  capabilities.deterministic = false;
-  VPART_RETURN_IF_ERROR(SolverRegistry::Global().Register(
-      kSolverDist, capabilities, [this]() -> std::unique_ptr<Solver> {
-        return std::make_unique<DistSolverAdapter>(this);
-      }));
-  solver_registered_ = true;
   return Status::Ok();
 }
 
@@ -186,8 +141,6 @@ void DistCoordinator::ReaderLoop(WorkerState* worker) {
       PumpLocked();
     } else if (type == kDistMsgHeartbeat) {
       // The last_seen refresh above is the whole point.
-    } else if (type == kDistMsgIncumbent) {
-      HandleIncumbentLocked(worker, *message);
     } else if (type == kDistMsgUnitResult || type == kDistMsgUnitError) {
       HandleResultLocked(worker, type, *message);
     }
@@ -254,13 +207,6 @@ void DistCoordinator::PumpLocked() {
       if (!worker->transport->Send(session_->job).ok()) continue;
       worker->job_serial = session_->serial;
       worker->current_unit = -1;
-      // A late joiner missed earlier broadcasts; hand it the current best.
-      if (session_->subtree && session_->have_best) {
-        JsonValue incumbent = MakeDistMessage(kDistMsgIncumbent);
-        incumbent.Set("session", session_->serial);
-        incumbent.Set("objective", session_->best_objective);
-        (void)worker->transport->Send(incumbent);
-      }
     }
     if (worker->current_unit >= 0) continue;
     std::optional<long> id = session_->ledger.Acquire(worker->id);
@@ -268,47 +214,6 @@ void DistCoordinator::PumpLocked() {
     worker->current_unit = *id;
     (void)worker->transport->Send(session_->payloads[*id]);
   }
-}
-
-void DistCoordinator::BroadcastIncumbentLocked(const WorkerState* from) {
-  if (session_ == nullptr || !session_->active || !session_->have_best) {
-    return;
-  }
-  for (auto& worker : workers_) {
-    if (worker.get() == from || !worker->alive || !worker->ready) continue;
-    if (worker->job_serial != session_->serial) continue;
-    JsonValue incumbent = MakeDistMessage(kDistMsgIncumbent);
-    incumbent.Set("session", session_->serial);
-    incumbent.Set("objective", session_->best_objective);
-    (void)worker->transport->Send(incumbent);
-    BroadcastsTotal().Increment();
-  }
-}
-
-void DistCoordinator::HandleIncumbentLocked(WorkerState* worker,
-                                            const JsonValue& message) {
-  if (session_ == nullptr || !session_->active || !session_->subtree) return;
-  if (LongField(message, "session", -1).value_or(-1) != session_->serial) {
-    return;
-  }
-  const JsonValue* objective = message.Find("objective");
-  const JsonValue* values = message.Find("values");
-  if (objective == nullptr || !objective->is_number() || values == nullptr ||
-      !values->is_array()) {
-    return;
-  }
-  const double candidate = objective->as_number();
-  if (session_->have_best && candidate >= session_->best_objective) return;
-  std::vector<double> decoded;
-  decoded.reserve(values->as_array().size());
-  for (const JsonValue& v : values->as_array()) {
-    if (!v.is_number()) return;
-    decoded.push_back(v.as_number());
-  }
-  session_->have_best = true;
-  session_->best_objective = candidate;
-  session_->best_values = std::move(decoded);
-  BroadcastIncumbentLocked(worker);
 }
 
 void DistCoordinator::HandleResultLocked(WorkerState* worker,
@@ -361,8 +266,7 @@ void DistCoordinator::HandleWorkerDeathLocked(WorkerState* worker) {
 }
 
 DistCoordinator::SessionOutcome DistCoordinator::RunSession(
-    bool subtree, JsonValue job, std::map<long, JsonValue> payloads,
-    bool have_best, double best_objective, std::vector<double> best_values,
+    JsonValue job, std::map<long, JsonValue> payloads,
     const CancellationToken& token) {
   Session* session = nullptr;
   {
@@ -371,7 +275,6 @@ DistCoordinator::SessionOutcome DistCoordinator::RunSession(
     session_ = std::make_unique<Session>();
     session = session_.get();
     session->serial = ++session_serial_;
-    session->subtree = subtree;
     job.Set("session", session->serial);
     session->job = std::move(job);
     for (auto& entry : payloads) {
@@ -379,11 +282,7 @@ DistCoordinator::SessionOutcome DistCoordinator::RunSession(
       session->ledger.Add(entry.first);
     }
     session->payloads = std::move(payloads);
-    session->have_best = have_best;
-    session->best_objective = best_objective;
-    session->best_values = std::move(best_values);
     PumpLocked();
-    if (session->have_best) BroadcastIncumbentLocked(nullptr);
   }
 
   while (!session->ledger.WaitFor(0.2)) {
@@ -399,213 +298,9 @@ DistCoordinator::SessionOutcome DistCoordinator::RunSession(
     outcome.results = std::move(session->results);
     outcome.error = session->error;
     outcome.completed = session->ledger.AllDone();
-    outcome.have_best = session->have_best;
-    outcome.best_objective = session->best_objective;
-    outcome.best_values = std::move(session->best_values);
     session_.reset();
   }
   return outcome;
-}
-
-StatusOr<AdviseResponse> DistCoordinator::AdviseDistributed(
-    const Instance& instance, const CliRequest& cli) {
-  std::lock_guard<std::mutex> serialize(advise_mu_);
-  if (usable_workers() == 0) {
-    return FailedPreconditionError(
-        "dist coordinator: no workers attached (WaitForWorkers first)");
-  }
-  frontier_target_ = cli.dist.frontier_units;
-  AdviseRequest request = cli.request;
-  request.solver = kSolverDist;
-  return Advise(instance, request);
-}
-
-StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
-    const CostCoefficients& cost_model, const AdviseRequest& request,
-    const SolveContext& ctx) {
-  Span span("dist_solve", "dist");
-  FormulationOptions fopts;
-  fopts.num_sites = request.num_sites;
-  fopts.allow_replication = request.allow_replication;
-  IlpFormulation formulation = BuildIlpFormulation(cost_model, fopts);
-  const bool latency = request.latency_penalty > 0;
-  if (latency) {
-    AddLatencyToFormulation(cost_model, request.latency_penalty, formulation);
-  }
-
-  // Warm incumbent, mirroring the ilp adapter: a cached cross-request seed
-  // replaces the internal SA warm start; both are skipped under latency
-  // (the ψ columns change the model shape EncodePartitioning covers).
-  const Partitioning* seed_incumbent = nullptr;
-  SaResult warm;
-  bool have_warm = false;
-  std::vector<double> initial;
-  if (!latency) {
-    if (request.warm.incumbent != nullptr &&
-        ValidatePartitioning(cost_model.instance(), *request.warm.incumbent,
-                             !request.allow_replication)
-            .ok()) {
-      seed_incumbent = request.warm.incumbent.get();
-      initial = formulation.EncodePartitioning(cost_model, *seed_incumbent);
-    } else if (request.ilp.warm_start_seconds > 0) {
-      SaOptions warm_sa;
-      warm_sa.seed = request.seed;
-      warm_sa.allow_replication = request.allow_replication;
-      warm_sa.time_limit_seconds =
-          request.time_limit_seconds > 0
-              ? std::min(request.ilp.warm_start_seconds,
-                         request.time_limit_seconds / 4)
-              : request.ilp.warm_start_seconds;
-      warm_sa.cancel_flag = ctx.token.flag();
-      Span warm_span("dist_warm_start", "dist");
-      warm = SolveWithSa(cost_model, request.num_sites, warm_sa);
-      have_warm = true;
-      initial = formulation.EncodePartitioning(cost_model, warm.partitioning);
-    }
-  }
-
-  MipOptions expand;
-  expand.time_limit_seconds = ctx.token.SolverBudgetSeconds();
-  expand.relative_gap = request.ilp.mip_gap;
-  expand.lp_options.audit_level = request.ilp.lp_audit;
-  expand.enable_dive = request.ilp.enable_dive;
-  expand.cancel_flag = ctx.token.flag();
-  if (!latency) expand.root_basis = request.warm.root_basis;
-  if (!initial.empty()) expand.initial_solution = &initial;
-  int target = frontier_target_;
-  if (target <= 0) target = 4 * std::max(1, usable_workers());
-  FrontierExpansion expansion =
-      ExpandFrontier(formulation.model, expand, target);
-  span.AddArg("frontier_units", static_cast<long>(expansion.units.size()));
-
-  const MipResult& root = expansion.root;
-  SolverRun run;
-  SearchProof& proof = run.proof;
-  proof = root.proof;
-  bool all_exhausted = expansion.clean;
-  bool have_best = root.has_incumbent();
-  double best_objective = have_best ? root.objective : kInf;
-  std::vector<double> best_values =
-      have_best ? root.values : std::vector<double>();
-  bool session_completed = true;
-  double bound = kInf;      // min over open-subtree bounds
-  bool bound_valid = true;  // every contributing bound was finite
-
-  if (expansion.units.empty()) {
-    all_exhausted = expansion.clean && root.proof.search_exhausted;
-    if (std::isfinite(root.proof.best_bound)) {
-      bound = std::min(bound, root.proof.best_bound);
-    }
-  } else {
-    CliRequest job_cli;
-    job_cli.instance_text = WriteInstanceText(cost_model.instance());
-    job_cli.request = request;
-    // Workers never dispatch by solver name in subtree mode, but the job
-    // document revalidates through ParseCliRequest, whose registry check
-    // must not see this coordinator-private name.
-    job_cli.request.solver = kSolverIlp;
-    job_cli.request.time_limit_seconds = ctx.token.SolverBudgetSeconds();
-    JsonValue job = MakeDistMessage(kDistMsgJob);
-    job.Set("mode", "subtrees");
-    job.Set("request", CliRequestToJson(job_cli));
-
-    std::map<long, JsonValue> payloads;
-    std::map<long, double> shipped_bounds;
-    for (const FrontierUnit& unit : expansion.units) {
-      JsonValue payload = MakeDistMessage(kDistMsgUnit);
-      payload.Set("id", unit.id);
-      if (std::isfinite(unit.bound)) payload.Set("bound", unit.bound);
-      payload.Set("fixings", EncodeFixings(unit.fixings));
-      payload.Set("basis", EncodeBasis(unit.basis));
-      payloads[unit.id] = std::move(payload);
-      shipped_bounds[unit.id] = unit.bound;
-    }
-
-    SessionOutcome outcome =
-        RunSession(/*subtree=*/true, std::move(job), std::move(payloads),
-                   have_best, best_objective, best_values, ctx.token);
-    if (!outcome.error.ok()) return outcome.error;
-    session_completed = outcome.completed;
-    if (outcome.have_best &&
-        (!have_best || outcome.best_objective < best_objective)) {
-      have_best = true;
-      best_objective = outcome.best_objective;
-      best_values = std::move(outcome.best_values);
-    }
-
-    for (const auto& entry : shipped_bounds) {
-      const long id = entry.first;
-      const double shipped_bound = entry.second;
-      auto found = outcome.results.find(id);
-      if (found == outcome.results.end()) {
-        // Never finished (deadline/cancel): the subtree stays open and its
-        // shipped parent bound still bounds it.
-        all_exhausted = false;
-        if (std::isfinite(shipped_bound)) {
-          bound = std::min(bound, shipped_bound);
-        } else {
-          bound_valid = false;
-        }
-        continue;
-      }
-      const JsonValue* mip = found->second.Find("mip");
-      StatusOr<MipResult> decoded =
-          DecodeMipResult(mip != nullptr ? *mip : JsonValue());
-      VPART_RETURN_IF_ERROR(decoded.status());
-      proof.nodes += decoded->proof.nodes;
-      proof.lp_stats.Add(decoded->proof.lp_stats);
-      all_exhausted = all_exhausted && decoded->proof.search_exhausted;
-      proof.pruned_by_external_bound = proof.pruned_by_external_bound ||
-                                       decoded->proof.pruned_by_external_bound;
-      if (decoded->has_incumbent() &&
-          (!have_best || decoded->objective < best_objective)) {
-        have_best = true;
-        best_objective = decoded->objective;
-        best_values = decoded->values;
-      }
-      // kInfeasible marks an empty (or globally dominated) subtree: bound
-      // +inf, nothing to fold into the global minimum.
-      if (decoded->status == MipStatus::kInfeasible) continue;
-      if (std::isfinite(decoded->proof.best_bound)) {
-        bound = std::min(bound, decoded->proof.best_bound);
-      } else if (!decoded->proof.search_exhausted) {
-        if (std::isfinite(shipped_bound)) {
-          bound = std::min(bound, shipped_bound);
-        } else {
-          bound_valid = false;
-        }
-      }
-    }
-  }
-
-  proof.search_exhausted = all_exhausted && session_completed;
-  const bool proven = proof.search_exhausted && have_best;
-  if (bound < kInf && bound_valid) {
-    proof.best_bound = proven ? std::min(bound, best_objective) : bound;
-  } else if (proven) {
-    // Every subtree closed without a finite bound (infeasible or pruned by
-    // the global incumbent): the incumbent is its own proof.
-    proof.best_bound = best_objective;
-  }
-
-  if (have_best) {
-    run.partitioning = formulation.ExtractPartitioning(best_values);
-    run.algorithm =
-        expansion.units.empty()
-            ? "dist(serial)"
-            : StrFormat("dist[%d]", static_cast<int>(expansion.units.size()));
-    run.proven_optimal = proven;
-  } else if (seed_incumbent != nullptr) {
-    run.partitioning = *seed_incumbent;
-    run.algorithm = "dist(timeout)->seed";
-  } else if (have_warm) {
-    run.partitioning = std::move(warm.partitioning);
-    run.algorithm = "dist(timeout)->sa";
-  } else {
-    return DeadlineExceededError(
-        "distributed branch & bound found no incumbent within its budget");
-  }
-  return run;
 }
 
 StatusOr<BatchAdvisorResult> DistCoordinator::AdviseSchemaDistributed(
@@ -635,7 +330,6 @@ StatusOr<BatchAdvisorResult> DistCoordinator::AdviseSchemaDistributed(
   job_cli.request = request;
   job_cli.batch = true;
   JsonValue job = MakeDistMessage(kDistMsgJob);
-  job.Set("mode", "tables");
   job.Set("request", CliRequestToJson(job_cli));
 
   std::map<long, JsonValue> payloads;
@@ -654,8 +348,7 @@ StatusOr<BatchAdvisorResult> DistCoordinator::AdviseSchemaDistributed(
           ? request.time_limit_seconds * std::max(1, n) + 30.0
           : 0.0);
   SessionOutcome outcome =
-      RunSession(/*subtree=*/false, std::move(job), std::move(payloads),
-                 /*have_best=*/false, 0.0, {}, token);
+      RunSession(std::move(job), std::move(payloads), token);
   VPART_RETURN_IF_ERROR(outcome.error);
   if (!outcome.completed) {
     return DeadlineExceededError(
@@ -704,10 +397,6 @@ void DistCoordinator::Shutdown() {
   }
   monitor_cv_.notify_all();
   workers_cv_.notify_all();
-  if (solver_registered_) {
-    (void)SolverRegistry::Global().Unregister(kSolverDist);
-    solver_registered_ = false;
-  }
   if (monitor_thread_.joinable()) monitor_thread_.join();
   if (listener_ != nullptr) listener_->Close();
   if (accept_thread_.joinable()) accept_thread_.join();

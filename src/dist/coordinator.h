@@ -3,7 +3,6 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -13,43 +12,29 @@
 #include <thread>
 #include <vector>
 
-#include "api/advise.h"
-#include "api/request_json.h"
-#include "api/solver_registry.h"
 #include "dist/ledger.h"
 #include "dist/transport.h"
 #include "engine/batch_advisor.h"
+#include "engine/thread_pool.h"
 #include "util/status.h"
 
 namespace vpart {
 
-/// Registry name the coordinator claims for its subtree-sharding solver
-/// while it is running; `AdviseDistributed` routes through it so subtree
-/// solves ride the full Advise() orchestration (grouping, validation,
-/// pricing, certification) unchanged.
-inline constexpr const char* kSolverDist = "dist";
-
 /// Multi-process solve coordinator (DESIGN.md "Distributed layer"). Owns a
 /// Unix-socket listener, a fleet of worker processes (spawned, or attached
 /// externally — `vpart_cli --worker <socket>` / InProcessWorker), and a
-/// WorkLedger per solve session. Two sharding modes:
-///
-///   - tables   (`AdviseSchemaDistributed`): the whole-schema batch is
-///     split per table (SplitInstanceByTable) and tables are farmed out;
-///     results merge through the same MergeTableAdvice a local batch uses.
-///   - subtrees (`AdviseDistributed`): a serial B&B expands the root to a
-///     frontier (mip/frontier.h) and ships each open node; workers search
-///     their subtrees to exhaustion, incumbents broadcast both ways so
-///     every worker prunes against the global best.
+/// WorkLedger per solve session. It shards a whole-schema batch by table
+/// (`AdviseSchemaDistributed`): the instance is split per table
+/// (SplitInstanceByTable), tables are farmed out one unit per worker at a
+/// time, and the results merge through the same MergeTableAdvice a local
+/// batch uses. One exact solve is not sharded here; `ilp.bnb_threads`
+/// parallelizes it inside one process.
 ///
 /// Failure model: a worker that disconnects or misses heartbeats for
 /// `heartbeat_timeout_seconds` has its assigned units returned to the
 /// ledger and re-dispatched; results from a worker presumed dead are
-/// discarded (units complete exactly once). Optimality is certified only
-/// when the frontier expansion was clean AND every unit reported an
-/// exhausted search — a requeued-and-finished unit still satisfies this,
-/// so a mid-solve worker kill cannot silently weaken the proof. If every
-/// worker is lost with units outstanding, the solve fails loudly.
+/// discarded (units complete exactly once). If every worker is lost with
+/// units outstanding, the solve fails loudly.
 class DistCoordinator {
  public:
   struct Options {
@@ -70,9 +55,7 @@ class DistCoordinator {
     double startup_timeout_seconds = 30.0;
   };
 
-  /// Binds the socket, spawns/awaits workers, and registers the "dist"
-  /// solver. The registration is exclusive: a second concurrent
-  /// coordinator in one process fails here.
+  /// Binds the socket and spawns/awaits workers.
   static StatusOr<std::unique_ptr<DistCoordinator>> Start(
       const Options& options);
 
@@ -95,15 +78,8 @@ class DistCoordinator {
   /// Units restored from dead/hung workers over this coordinator's life.
   long requeued_total() const;
 
-  /// Subtree mode: one exact solve, sharded across workers at the B&B
-  /// frontier. Same contract as Advise(instance, cli.request) — including
-  /// certification via request.certify — with cli.dist.frontier_units
-  /// steering the shard count (0 = 4x workers).
-  StatusOr<AdviseResponse> AdviseDistributed(const Instance& instance,
-                                             const CliRequest& cli);
-
-  /// Table mode: whole-schema batch advice with per-table solves farmed
-  /// across workers. Merges byte-identically to a local AdviseSchema over
+  /// Whole-schema batch advice with per-table solves farmed across
+  /// workers. Merges byte-identically to a local AdviseSchema over
   /// the same per-table answers.
   StatusOr<BatchAdvisorResult> AdviseSchemaDistributed(
       const Instance& instance, const BatchAdviseRequest& batch);
@@ -120,29 +96,21 @@ class DistCoordinator {
     std::chrono::steady_clock::time_point last_seen;
   };
 
-  /// One solve session: its ledger, unit payloads, collected results, and
-  /// the globally best incumbent seen so far (subtree mode).
+  /// One solve session: its ledger, unit payloads and collected results.
   struct Session {
     long serial = 0;
-    bool subtree = false;
     JsonValue job;
     std::map<long, JsonValue> payloads;
     WorkLedger ledger;
     std::map<long, JsonValue> results;
     Status error;  // first fatal unit error
     bool active = true;
-    bool have_best = false;
-    double best_objective = 0.0;
-    std::vector<double> best_values;
   };
 
   struct SessionOutcome {
     std::map<long, JsonValue> results;
     Status error;
     bool completed = false;  // every unit finished
-    bool have_best = false;
-    double best_objective = 0.0;
-    std::vector<double> best_values;
   };
 
   DistCoordinator() = default;
@@ -156,10 +124,6 @@ class DistCoordinator {
   /// Pairs idle workers with pending units (shipping the session job first
   /// when a worker has not seen it). Callers hold mu_.
   void PumpLocked();
-  /// Rebroadcasts the session's best incumbent objective to every worker
-  /// holding the session's job, except `from` (the one that reported it).
-  void BroadcastIncumbentLocked(const WorkerState* from);
-  void HandleIncumbentLocked(WorkerState* worker, const JsonValue& message);
   void HandleResultLocked(WorkerState* worker, const std::string& type,
                           const JsonValue& message);
   void HandleWorkerDeathLocked(WorkerState* worker);
@@ -167,24 +131,14 @@ class DistCoordinator {
 
   /// Dispatches a prepared session and blocks until it completes, errors,
   /// every worker is lost, or `token` fires (partial results then).
-  SessionOutcome RunSession(bool subtree, JsonValue job,
-                            std::map<long, JsonValue> payloads,
-                            bool have_best, double best_objective,
-                            std::vector<double> best_values,
+  SessionOutcome RunSession(JsonValue job, std::map<long, JsonValue> payloads,
                             const CancellationToken& token);
-
-  /// Body of the registered "dist" solver (subtree mode).
-  StatusOr<SolverRun> SolveSubtrees(const CostCoefficients& cost_model,
-                                    const AdviseRequest& request,
-                                    const SolveContext& ctx);
-  friend class DistSolverAdapter;
 
   std::string socket_path_;
   Options options_;
   std::unique_ptr<TransportListener> listener_;
   std::thread accept_thread_;
   std::thread monitor_thread_;
-  bool solver_registered_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable workers_cv_;
@@ -197,10 +151,8 @@ class DistCoordinator {
 
   std::vector<pid_t> spawned_pids_;
 
-  /// Serializes the public advise entry points (one session at a time) and
-  /// carries the per-call frontier target into SolveSubtrees.
+  /// Serializes AdviseSchemaDistributed calls: one session at a time.
   std::mutex advise_mu_;
-  int frontier_target_ = 0;
 };
 
 }  // namespace vpart

@@ -21,8 +21,8 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Sends one message. Thread-safe: the coordinator's dispatcher and its
-  /// incumbent broadcasts may write concurrently.
+  /// Sends one message. Thread-safe: a worker's heartbeat thread and its
+  /// unit results may write concurrently.
   virtual Status Send(const JsonValue& message) = 0;
 
   /// Blocks for the next message. Single reader. A clean peer close

@@ -27,13 +27,9 @@ struct WorkerOptions {
 /// session ends; returns Ok on an orderly shutdown or clean coordinator
 /// close, the underlying error otherwise.
 ///
-/// Subtree units solve through the same SolveMip the single-process path
-/// uses, over a model rebuilt from the job's embedded instance text — the
-/// .vpi format round-trips doubles exactly and the formulation build is
-/// deterministic, so the worker's model is bit-identical to the
-/// coordinator's. Table units run the Advise() pipeline, without its
-/// telemetry snapshots (AdviseWithoutSnapshots), on the deterministically
-/// re-split per-table subinstance.
+/// Each unit runs the Advise() pipeline, without its telemetry snapshots
+/// (AdviseWithoutSnapshots), on the per-table subinstance re-split
+/// deterministically from the job's embedded instance text.
 Status RunDistWorker(Transport& transport, const WorkerOptions& options = {});
 
 /// Connects to a coordinator's Unix socket and runs RunDistWorker — the

@@ -189,6 +189,14 @@ StatusOr<BatchAdvisorResult> MergeTableAdvice(
   for (int i = 0; i < n; ++i) {
     const TableSubinstance& sub = subs[i];
     AdvisorResult& result = results[i];
+    // Results may come from worker processes: a layout over another site
+    // count would index past `votes` and the combined partitioning.
+    if (result.partitioning.num_sites() != num_sites) {
+      return InvalidArgumentError(StrFormat(
+          "table %s: advice spans %d sites, not %d",
+          instance.schema().table(sub.table_id).name.c_str(),
+          result.partitioning.num_sites(), num_sites));
+    }
 
     TableAdvice advice;
     advice.table_id = sub.table_id;

@@ -26,13 +26,6 @@ int LpModel::AddBinaryVariable(double objective, std::string name) {
   return j;
 }
 
-void LpModel::SetVariableBounds(int j, double lower, double upper) {
-  assert(j >= 0 && j < num_variables());
-  assert(lower <= upper);
-  variables_[j].lower = lower;
-  variables_[j].upper = upper;
-}
-
 int LpModel::AddConstraint(ConstraintSense sense, double rhs,
                            std::vector<std::pair<int, double>> terms,
                            std::string name) {

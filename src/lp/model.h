@@ -57,13 +57,6 @@ class LpModel {
                     std::vector<std::pair<int, double>> terms,
                     std::string name = "");
 
-  /// Replaces variable j's bounds in place. This is the one permitted
-  /// mutation of an existing column: a distributed worker reconstructs a
-  /// B&B frontier node by applying the shipped branching fixings to its
-  /// own copy of the root model (dist/worker.h). `lower <= upper` and a
-  /// valid column index are the caller's responsibility (asserted).
-  void SetVariableBounds(int j, double lower, double upper);
-
   int num_variables() const { return static_cast<int>(variables_.size()); }
   int num_constraints() const {
     return static_cast<int>(constraints_.size());

@@ -139,26 +139,6 @@ class Basis {
   bool valid() const { return valid_; }
   int num_rows() const { return static_cast<int>(basic_of_row_.size()); }
 
-  /// Raw snapshot contents, exposed so a basis can cross a process
-  /// boundary (dist/wire_messages.h ships frontier-node bases to
-  /// workers). The encoding is an implementation detail of the simplex —
-  /// treat the vectors as opaque and round-trip them unchanged.
-  const std::vector<int>& basic_of_row() const { return basic_of_row_; }
-  const std::vector<uint8_t>& states() const { return state_; }
-
-  /// Reassembles a basis from raw parts (the inverse of the accessors
-  /// above). An empty `basic_of_row` yields an invalid basis. LoadBasis
-  /// re-validates shape against the model, so a corrupt wire payload is
-  /// rejected there rather than trusted here.
-  static Basis FromParts(std::vector<int> basic_of_row,
-                         std::vector<uint8_t> states) {
-    Basis b;
-    b.valid_ = !basic_of_row.empty();
-    b.basic_of_row_ = std::move(basic_of_row);
-    b.state_ = std::move(states);
-    return b;
-  }
-
  private:
   friend class SimplexSolver;
   std::vector<int> basic_of_row_;    // row -> column

@@ -10,8 +10,6 @@
 #include <set>
 #include <thread>
 
-#include "mip/frontier.h"
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -194,7 +192,6 @@ class OpenSet {
   explicit OpenSet(bool best_first) : best_first_(best_first) {}
 
   bool empty() const { return nodes_.empty(); }
-  size_t size() const { return nodes_.size(); }
 
   void Push(OpenNode open) {
     nodes_.push_back(std::move(open));
@@ -218,19 +215,15 @@ class OpenSet {
   std::vector<OpenNode> nodes_;
 };
 
-/// The one branch & bound search behind SolveMip and ExpandFrontier.
-/// Workers share the open set, the incumbent and the proof under `mu_`;
-/// each owns a NodeLpSolver and drops the lock around its LP solves and
-/// dives.
+/// The one branch & bound search behind SolveMip. Workers share the open
+/// set, the incumbent and the proof under `mu_`; each owns a NodeLpSolver
+/// and drops the lock around its LP solves and dives.
 class TreeSearch {
  public:
-  /// `best_first` orders the open set; `export_at` > 0 stops the search
-  /// once that many nodes are open (a frontier expansion).
-  TreeSearch(const LpModel& model, const MipOptions& options, bool best_first,
-             size_t export_at)
+  /// `best_first` orders the open set.
+  TreeSearch(const LpModel& model, const MipOptions& options, bool best_first)
       : model_(model),
         options_(options),
-        export_at_(export_at),
         deadline_(options.time_limit_seconds),
         open_(best_first) {}
 
@@ -240,8 +233,6 @@ class TreeSearch {
   void Run(int workers);
   /// SolveMip's answer, once Run returned.
   MipResult Result();
-  /// ExpandFrontier's answer: the open nodes as units, once Run returned.
-  FrontierExpansion Export();
 
  private:
   /// Runs Worker(); an exception stops every worker and is kept for Run.
@@ -288,7 +279,6 @@ class TreeSearch {
 
   const LpModel& model_;
   const MipOptions& options_;
-  const size_t export_at_;
   Deadline deadline_;
   Stopwatch watch_;
 
@@ -360,7 +350,6 @@ void TreeSearch::Worker() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     if (open_.empty() && active_ == 0) break;  // the tree is exhausted
-    if (export_at_ > 0 && open_.size() >= export_at_) break;
     if (deadline_.Expired() || Cancelled(options_) ||
         (options_.max_nodes > 0 && proof_.nodes >= options_.max_nodes)) {
       break;
@@ -617,7 +606,7 @@ bool TreeSearch::GapClosedLocked() {
   return true;
 }
 
-// Result and Export run after every worker joined: the lock is not needed.
+// Result runs after every worker joined: the lock is not needed.
 MipResult TreeSearch::Result() {
   MipResult result;
   result.seconds = watch_.ElapsedSeconds();
@@ -665,61 +654,13 @@ MipResult TreeSearch::Result() {
   return result;
 }
 
-FrontierExpansion TreeSearch::Export() {
-  FrontierExpansion out;
-  Bounds bounds(model_.num_variables());
-  // Open nodes that the incumbent found later in the expansion already
-  // closes are pruned here instead of shipped; the shipped ones keep their
-  // bounds in open_bounds_, so Result() reads them as still open.
-  while (!open_.empty()) {
-    OpenNode open = open_.Pop();
-    const Node& node = *open.node;
-    if (PruneLocked(node.bound)) {
-      EraseOpenBoundLocked(node.bound);
-      continue;
-    }
-    FrontierUnit unit;
-    unit.id = node.id;
-    unit.bound = std::isfinite(node.bound) ? node.bound : root_bound_;
-    unit.basis = std::move(open.warm);
-    // Every branching strictly tightens its column, so the fixings are
-    // exactly the columns whose bounds differ from the model's.
-    MaterializeBounds(node, bounds);
-    for (int j = 0; j < model_.num_variables(); ++j) {
-      if (bounds[j].first != model_.variable(j).lower ||
-          bounds[j].second != model_.variable(j).upper) {
-        unit.fixings.push_back({j, bounds[j].first, bounds[j].second});
-      }
-    }
-    out.units.push_back(std::move(unit));
-  }
-  out.clean = !any_lp_failure_;
-  out.root = Result();
-  if (!out.units.empty()) {
-    // The proof is delegated to the units.
-    out.root.proof.search_exhausted = false;
-    out.root.status =
-        have_incumbent_ ? MipStatus::kFeasible : MipStatus::kNoSolution;
-  }
-  return out;
-}
-
 }  // namespace
 
 MipResult SolveMip(const LpModel& model, const MipOptions& options) {
   const int workers = std::max(1, options.num_threads);
-  TreeSearch search(model, options, /*best_first=*/workers > 1,
-                    /*export_at=*/0);
+  TreeSearch search(model, options, /*best_first=*/workers > 1);
   search.Run(workers);
   return search.Result();
-}
-
-FrontierExpansion ExpandFrontier(const LpModel& model,
-                                 const MipOptions& options, int target_units) {
-  TreeSearch search(model, options, /*best_first=*/true,
-                    static_cast<size_t>(std::max(target_units, 1)));
-  search.Run(/*workers=*/1);
-  return search.Export();
 }
 
 }  // namespace vpart

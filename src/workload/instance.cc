@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <set>
 
 #include "util/string_util.h"
@@ -77,6 +78,14 @@ Status Instance::BuildDerived() {
         phi_[static_cast<size_t>(a) * num_t + t] = 1;
       }
     }
+  }
+
+  // Finite widths, frequencies and row counts can still multiply past the
+  // largest double; an infinite weight would price every layout at inf.
+  if (!std::isfinite(total_weight_)) {
+    return InvalidArgumentError(
+        "instance weights overflow: width x frequency x rows must stay "
+        "finite");
   }
 
   for (int t = 0; t < num_t; ++t) {

@@ -1,5 +1,7 @@
 #include "workload/schema.h"
 
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace vpart {
@@ -25,9 +27,9 @@ StatusOr<int> Schema::AddAttribute(int table_id, const std::string& name,
   if (name.empty()) {
     return InvalidArgumentError("attribute name must not be empty");
   }
-  if (width <= 0) {
-    return InvalidArgumentError(
-        StrFormat("attribute %s must have positive width", name.c_str()));
+  if (!std::isfinite(width) || width <= 0) {
+    return InvalidArgumentError(StrFormat(
+        "attribute %s must have a positive finite width", name.c_str()));
   }
   const std::string qualified = tables_[table_id].name + "." + name;
   if (attribute_by_qualified_name_.count(qualified) > 0) {

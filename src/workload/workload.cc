@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/string_util.h"
 
@@ -33,15 +34,15 @@ StatusOr<int> Workload::AddQuery(int transaction_id, Query query) {
     return OutOfRangeError(
         StrFormat("transaction id %d out of range", transaction_id));
   }
-  if (query.frequency <= 0) {
-    return InvalidArgumentError("query frequency must be positive: " +
-                                query.name);
+  if (!std::isfinite(query.frequency) || query.frequency <= 0) {
+    return InvalidArgumentError(
+        "query frequency must be positive and finite: " + query.name);
   }
   for (const auto& [tbl, rows] : query.table_rows) {
     (void)tbl;
-    if (rows <= 0) {
-      return InvalidArgumentError("query table rows must be positive: " +
-                                  query.name);
+    if (!std::isfinite(rows) || rows <= 0) {
+      return InvalidArgumentError(
+          "query table rows must be positive and finite: " + query.name);
     }
   }
   std::sort(query.attributes.begin(), query.attributes.end());

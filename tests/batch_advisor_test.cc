@@ -175,6 +175,22 @@ TEST(BatchAdvisorTest, RejectsBadSiteCount) {
   batch.request.num_sites = 0;
   StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, batch);
   EXPECT_FALSE(advised.ok());
+
+  // A per-table answer over more sites than the merge (a worker's answer
+  // is peer input) is rejected, not written past the combined layout.
+  StatusOr<std::vector<TableSubinstance>> subs = SplitInstanceByTable(tpcc);
+  ASSERT_TRUE(subs.ok());
+  std::vector<AdvisorResult> results(subs->size());
+  for (size_t i = 0; i < subs->size(); ++i) {
+    results[i].partitioning =
+        SingleSiteBaseline((*subs)[i].instance, /*num_sites=*/3);
+  }
+  results.back().partitioning =
+      SingleSiteBaseline(subs->back().instance, /*num_sites=*/9);
+  StatusOr<BatchAdvisorResult> merged =
+      MergeTableAdvice(tpcc, *subs, std::move(results), /*num_sites=*/3);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

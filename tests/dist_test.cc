@@ -3,12 +3,11 @@
 // what the TSan CI leg runs), plus a spawned-process leg with a mid-solve
 // SIGKILL. The load-bearing contracts:
 //
-//   * equivalence — a distributed solve (subtree or table sharding, any
-//     worker count) certifies the same objective as the single-process
-//     solve of the same request;
+//   * equivalence — a distributed whole-schema batch (any worker count)
+//     merges to the same advice as the local AdviseSchema;
 //   * fault tolerance — killing a worker mid-session loses no units: the
-//     ledger requeues them and the final result is still proven optimal
-//     and passes the independent SolutionCertifier;
+//     ledger requeues them, every table is still solved and certified, and
+//     the combined cost is unchanged;
 //   * clean teardown — Shutdown() joins every thread (TSan-checked).
 
 #include <sys/types.h>
@@ -21,8 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/advise.h"
-#include "api/request_json.h"
 #include "dist/coordinator.h"
 #include "dist/worker.h"
 #include "engine/batch_advisor.h"
@@ -64,120 +61,45 @@ Cluster StartCluster(const char* tag, int num_workers,
   return cluster;
 }
 
-/// Which path answered a subtree request: "dist[N]" when the frontier
-/// shipped N units to workers, "dist(serial)" when the tree closed inside
-/// the coordinator's ExpandFrontier (either may carry a "+groups" suffix).
-/// Asserting it keeps a test on the path it is meant to exercise when a
-/// tighter model shrinks the tree.
-bool AnsweredBy(const AdviseResponse& response, const char* prefix) {
-  return response.result.algorithm_used.rfind(prefix, 0) == 0;
+BatchAdviseRequest TpccBatch() {
+  BatchAdviseRequest batch;
+  batch.request.solver = "ilp";
+  batch.request.num_sites = 3;
+  batch.request.time_limit_seconds = 60.0;
+  batch.request.ilp.warm_start_seconds = 0.1;
+  batch.request.obs = ObsLevel::kOff;
+  return batch;
 }
 
-/// rndAt8x15 or rndAt16x15 at 2 sites: trees that still fill the frontier.
-Instance RandomInstance(const char* name) {
-  auto instance = MakeNamedRandomInstance(name);
-  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
-  return instance.ok() ? std::move(*instance) : Instance();
+/// perfbench's batch schema: a Table-1 schema of 100 tables, advised by
+/// seeded SA (fixed restarts, so the advice is reproducible) with every
+/// table certified. Its session outlasts a 30 ms kill, and its 100 units
+/// keep a crashed worker holding one.
+Instance Table1Schema() {
+  return MakeRandomInstance(Table1DefaultParams(100, /*seed=*/1));
 }
 
-CliRequest SubtreeRequest(double time_limit = 60.0) {
-  CliRequest cli;
-  cli.request.solver = "ilp";
-  cli.request.num_sites = 3;
-  cli.request.time_limit_seconds = time_limit;
-  cli.request.ilp.warm_start_seconds = 0.1;
-  cli.request.certify = true;  // independent SolutionCertifier pass
-  cli.request.obs = ObsLevel::kOff;
-  return cli;
+BatchAdviseRequest CertifiedSaBatch() {
+  BatchAdviseRequest batch;
+  batch.request.solver = "sa";
+  batch.request.num_sites = 3;
+  batch.request.certify = true;
+  batch.request.obs = ObsLevel::kOff;
+  return batch;
 }
 
-TEST(DistSubtreeTest, TpccMatchesSingleProcessWithTwoWorkers) {
-  const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  auto local = Advise(tpcc, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_TRUE(local->result.proven_optimal);
-  ASSERT_TRUE(local->certified);
-
-  Cluster cluster = StartCluster("t2", /*num_workers=*/2);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_EQ(dist->solver_used, "dist");
-  // TPC-C@3's tree closes inside the coordinator: no unit ships.
-  EXPECT_TRUE(AnsweredBy(*dist, "dist(serial)"))
-      << dist->result.algorithm_used;
-  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
-  cluster.coordinator->Shutdown();
-  for (auto& worker : cluster.workers) {
-    EXPECT_TRUE(worker->Join().ok());
+void ExpectSameAdvice(const BatchAdvisorResult& dist,
+                      const BatchAdvisorResult& local) {
+  ASSERT_EQ(dist.tables.size(), local.tables.size());
+  EXPECT_EQ(dist.combined.cost, local.combined.cost);
+  EXPECT_EQ(dist.combined.single_site_cost, local.combined.single_site_cost);
+  EXPECT_EQ(dist.combined.proven_optimal, local.combined.proven_optimal);
+  for (size_t i = 0; i < local.tables.size(); ++i) {
+    EXPECT_EQ(dist.tables[i].result.cost, local.tables[i].result.cost)
+        << "table " << local.tables[i].table_name;
+    EXPECT_EQ(dist.tables[i].result.proven_optimal,
+              local.tables[i].result.proven_optimal);
   }
-}
-
-TEST(DistSubtreeTest, Random16x15MatchesSingleProcessWithFourWorkers) {
-  const Instance instance = RandomInstance("rndAt16x15");
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  cli.dist.frontier_units = 12;
-  auto local = Advise(instance, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_TRUE(local->result.proven_optimal);
-
-  Cluster cluster = StartCluster("t4", /*num_workers=*/4);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
-  cluster.coordinator->Shutdown();
-}
-
-TEST(DistSubtreeTest, RandomInstanceMatchesSingleProcess) {
-  const Instance instance = RandomInstance("rndAt8x15");
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  auto local = Advise(instance, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_TRUE(local->result.proven_optimal);
-
-  // Four workers share the frontier: the objective is bit-equal to the
-  // local solve, the proof is kept and certified, and no unit is lost or
-  // requeued. What sharding costs in time is perfbench's dist.* metrics.
-  Cluster cluster = StartCluster("rnd", /*num_workers=*/4);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
-  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
-  cluster.coordinator->Shutdown();
-}
-
-TEST(DistSubtreeTest, SequentialSessionsReuseTheCluster) {
-  const Instance instance = RandomInstance("rndAt8x15");
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  auto local = Advise(instance, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-  Cluster cluster = StartCluster("seq", /*num_workers=*/2);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  for (int round = 0; round < 2; ++round) {
-    auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
-    ASSERT_TRUE(dist.ok()) << "round " << round << ": "
-                           << dist.status().ToString();
-    EXPECT_EQ(dist->result.cost, local->result.cost);
-    EXPECT_TRUE(dist->result.proven_optimal);
-    EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
-  }
-  cluster.coordinator->Shutdown();
 }
 
 TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
@@ -208,28 +130,46 @@ TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
   cluster.coordinator->Shutdown();
 }
 
+// Each session ships its job afresh under a new serial; workers answer the
+// second session from the second job.
+TEST(DistTableTest, SequentialSessionsReuseTheCluster) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TpccBatch();
+  auto local = AdviseSchema(tpcc, batch);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  Cluster cluster = StartCluster("seq", /*num_workers=*/2);
+  ASSERT_NE(cluster.coordinator, nullptr);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
+    ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+    ExpectSameAdvice(*dist, *local);
+  }
+  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
+  cluster.coordinator->Shutdown();
+}
+
 TEST(DistFailureTest, WorkerCrashMidSessionRequeuesAndStillCertifies) {
-  const Instance instance = RandomInstance("rndAt8x15");
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  cli.dist.frontier_units = 8;  // enough units that the crash strands some
-  auto local = Advise(instance, cli.request);
+  const Instance schema = Table1Schema();
+  const BatchAdviseRequest batch = CertifiedSaBatch();
+  auto local = AdviseSchema(schema, batch);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   // Worker 0 drops its connection after one unit result — a crash as far
-  // as the coordinator can tell. Its remaining units must requeue to the
-  // surviving worker and the proof must close regardless.
+  // as the coordinator can tell. The coordinator hands it its next table
+  // on that result, so that table must requeue to the surviving worker,
+  // and every table is still solved and certified (a unit that fails
+  // certification fails the session).
   WorkerOptions crashy;
   crashy.fail_after_units = 1;
   Cluster cluster = StartCluster("kill", /*num_workers=*/2, crashy);
   ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(instance, cli);
+  auto dist = cluster.coordinator->AdviseSchemaDistributed(schema, batch);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
+  ExpectSameAdvice(*dist, *local);
   EXPECT_GT(cluster.coordinator->requeued_total(), 0);
+  EXPECT_EQ(cluster.coordinator->usable_workers(), 1);
   cluster.coordinator->Shutdown();
 }
 
@@ -254,8 +194,9 @@ TEST(DistShutdownTest, DispatchWithoutWorkersFailsFast) {
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   EXPECT_FALSE((*started)->WaitForWorkers(1, 0.2));
   const Instance tpcc = MakeTpccInstance();
-  auto dist = (*started)->AdviseDistributed(tpcc, SubtreeRequest());
-  EXPECT_FALSE(dist.ok());
+  auto dist = (*started)->AdviseSchemaDistributed(tpcc, TpccBatch());
+  ASSERT_FALSE(dist.ok());
+  EXPECT_EQ(dist.status().code(), StatusCode::kFailedPrecondition);
   (*started)->Shutdown();
 }
 
@@ -266,11 +207,9 @@ TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
   if (::access("./vpart_cli", X_OK) != 0) {
     GTEST_SKIP() << "vpart_cli not found in the working directory";
   }
-  const Instance instance = RandomInstance("rndAt8x15");
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  cli.dist.frontier_units = 8;
-  auto local = Advise(instance, cli.request);
+  const Instance schema = Table1Schema();
+  const BatchAdviseRequest batch = CertifiedSaBatch();
+  auto local = AdviseSchema(schema, batch);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   DistCoordinator::Options options;
@@ -291,13 +230,10 @@ TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     ::kill(pids[0], SIGKILL);
   });
-  auto dist = coordinator->AdviseDistributed(instance, cli);
+  auto dist = coordinator->AdviseSchemaDistributed(schema, batch);
   killer.join();
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_TRUE(AnsweredBy(*dist, "dist[")) << dist->result.algorithm_used;
+  ExpectSameAdvice(*dist, *local);
   EXPECT_EQ(coordinator->usable_workers(), 1);
   coordinator->Shutdown();
 }

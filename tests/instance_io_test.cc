@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
@@ -96,6 +97,24 @@ TEST(InstanceIoTest, RejectsDuplicateQueryName) {
       "instance d\ntable R\nattr R x 4\ntxn T\n"
       "query T q read 1\nrows q R 1\nquery T q read 1\n";
   EXPECT_FALSE(ParseInstanceText(text).ok());
+}
+
+// NaN and inf pass a `<= 0` check, and 1e308 rows are finite but overflow
+// W = width x frequency x rows to inf: each would price every layout at
+// NaN or inf, so the instance is rejected when it is built.
+TEST(InstanceIoTest, RejectsNonFiniteNumbers) {
+  const std::string head = "instance d\ntable R\n";
+  const std::string txn = "txn T\nquery T q read ";
+  for (const std::string& text :
+       {head + "attr R x nan\n" + txn + "1\nrows q R 1\nref q R.x\n",
+        head + "attr R x inf\n" + txn + "1\nrows q R 1\nref q R.x\n",
+        head + "attr R x 4\n" + txn + "nan\nrows q R 1\nref q R.x\n",
+        head + "attr R x 4\n" + txn + "1\nrows q R 1e308\nref q R.x\n"}) {
+    SCOPED_TRACE(text);
+    StatusOr<Instance> parsed = ParseInstanceText(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(InstanceIoTest, FileRoundTrip) {

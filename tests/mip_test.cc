@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <thread>
 
-#include "cost/cost_model.h"
-#include "instances/random_instance.h"
 #include "mip/branch_and_bound.h"
-#include "mip/frontier.h"
-#include "solver/attribute_groups.h"
-#include "solver/formulation.h"
 #include "util/rng.h"
 
 namespace vpart {
@@ -331,61 +325,6 @@ TEST(MipTest, MatchesBruteForceOnRandomInstances) {
     ASSERT_EQ(result.status, MipStatus::kOptimal) << "trial " << trial;
     EXPECT_NEAR(result.objective, best, 1e-5) << "trial " << trial;
   }
-}
-
-// The attribute-grouped rndAt8x15@2 eq.-(7) model (p = 8, λ = 0.1): its
-// tree is deep enough to fill an 8-unit frontier.
-class FrontierTest : public ::testing::Test {
- protected:
-  static constexpr int kUnits = 8;
-
-  void SetUp() override {
-    StatusOr<Instance> instance = MakeNamedRandomInstance("rndAt8x15");
-    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-    StatusOr<AttributeGrouping> grouping = BuildAttributeGrouping(*instance);
-    ASSERT_TRUE(grouping.ok()) << grouping.status().ToString();
-    const CostModel cost(&grouping->reduced, {.p = 8, .lambda = 0.1});
-    FormulationOptions formulation;
-    formulation.num_sites = 2;
-    model_ = BuildIlpFormulation(cost, formulation).model;
-  }
-
-  LpModel model_;
-};
-
-// Without a warm start the expansion's own root dive is what ships the
-// units with an incumbent to prune against.
-TEST_F(FrontierTest, ExpansionDivesForAnIncumbent) {
-  const FrontierExpansion expansion =
-      ExpandFrontier(model_, MipOptions(), kUnits);
-  ASSERT_TRUE(expansion.root.has_incumbent());
-  EXPECT_TRUE(model_.CheckFeasible(expansion.root.values, 1e-6).ok());
-  EXPECT_FALSE(expansion.units.empty());
-}
-
-// The frontier is sound: its incumbent and the units, each searched to
-// exhaustion from its fixings and shipped basis, find the serial optimum.
-TEST_F(FrontierTest, UnitsCoverTheTree) {
-  const FrontierExpansion expansion = ExpandFrontier(model_, Exact(), kUnits);
-  ASSERT_TRUE(expansion.clean);
-  ASSERT_FALSE(expansion.units.empty());
-  double best = expansion.root.has_incumbent() ? expansion.root.objective
-                                               : kLpInfinity;
-  for (const FrontierUnit& unit : expansion.units) {
-    SCOPED_TRACE("unit " + std::to_string(unit.id));
-    LpModel subtree = model_;
-    for (const BoundFix& fix : unit.fixings) {
-      subtree.SetVariableBounds(fix.column, fix.lower, fix.upper);
-    }
-    MipOptions options = Exact();
-    options.root_basis = unit.basis;
-    const MipResult result = SolveMip(subtree, options);
-    ASSERT_TRUE(result.proof.search_exhausted);
-    if (result.has_incumbent()) best = std::min(best, result.objective);
-  }
-  const MipResult serial = SolveMip(model_, Exact());
-  ASSERT_EQ(serial.status, MipStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(best, serial.objective);
 }
 
 }  // namespace

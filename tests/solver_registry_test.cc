@@ -232,6 +232,11 @@ TEST(RequestJsonTest, RejectsBadRequests) {
                    R"({"instance": {"builtin": "tpcc"},
                        "sa": {"restarts": 3}})")
                    .ok());
+  // The coordinator shards batch requests only; there is no "dist" block.
+  EXPECT_FALSE(ParseCliRequest(
+                   R"({"instance": {"builtin": "tpcc"},
+                       "dist": {"mode": "tables"}})")
+                   .ok());
   // Instance spec must name exactly one source.
   EXPECT_FALSE(ParseCliRequest(R"({"solver": "sa"})").ok());
   EXPECT_FALSE(

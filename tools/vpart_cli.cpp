@@ -96,13 +96,13 @@ void PrintHelp() {
       "  --workers <n>         daemon/coordinator solve workers (default 2)\n"
       "  --connect <socket>    send the request to a running daemon and\n"
       "                        print its response (one round trip)\n"
-      "  --coordinator         solve the request distributed: spawn\n"
-      "                        --workers worker processes over a Unix\n"
-      "                        socket and shard the work across them —\n"
-      "                        B&B frontier subtrees for a single solve,\n"
-      "                        tables for a \"batch\" request (see the\n"
-      "                        request's \"dist\" block and DESIGN.md\n"
-      "                        \"Distributed layer\")\n"
+      "  --coordinator         advise a \"batch\": true request\n"
+      "                        distributed: spawn --workers worker\n"
+      "                        processes over a Unix socket and farm the\n"
+      "                        schema's tables out to them (DESIGN.md\n"
+      "                        \"Distributed layer\"). Any other request\n"
+      "                        exits 2; ilp.bnb_threads parallelizes one\n"
+      "                        solve\n"
       "  --socket <path>       coordinator socket path (default derived\n"
       "                        from the pid under /tmp)\n"
       "  --no-spawn            coordinator waits for externally started\n"
@@ -135,6 +135,8 @@ void PrintHelp() {
       "  obs                   \"off\"|\"basic\"|\"full\" span recording\n"
       "  certify               true = independent post-solve certification\n"
       "                        (response carries \"certified\": true)\n"
+      "  ilp.bnb_threads       branch & bound worker threads for one\n"
+      "                        exact solve\n"
       "  ilp.audit             \"off\"|\"cheap\"|\"full\" node-LP invariant\n"
       "                        audits; failures surface as\n"
       "                        telemetry.mip.audit_failures\n"
@@ -289,13 +291,21 @@ int RunWorker(const CliArgs& args) {
   return 0;
 }
 
-/// --coordinator: one distributed solve. Spawns (or awaits) workers, shards
-/// the request, prints the same response document the local paths print.
+/// --coordinator: one distributed whole-schema batch. Spawns (or awaits)
+/// workers, farms the tables out, and prints the document a local batch
+/// prints.
 int RunCoordinator(const CliArgs& args, const std::string& request_text) {
   StatusOr<CliRequest> cli = ParseCliRequest(request_text);
   if (!cli.ok()) {
     std::fprintf(stderr, "bad request: %s\n",
                  cli.status().ToString().c_str());
+    return 2;
+  }
+  if (!cli->batch) {
+    std::fprintf(stderr,
+                 "bad request: --coordinator shards a \"batch\": true "
+                 "request by table; parallelize one solve with \"ilp\": "
+                 "{\"bnb_threads\": N} instead\n");
     return 2;
   }
   if (!args.obs_text.empty() &&
@@ -336,36 +346,20 @@ int RunCoordinator(const CliArgs& args, const std::string& request_text) {
   std::fprintf(stderr, "coordinator on %s: %d workers attached\n",
                (*coordinator)->socket_path().c_str(),
                (*coordinator)->usable_workers());
-  const bool tables = cli->dist.mode == "tables" ||
-                      (cli->dist.mode == "auto" && cli->batch);
+  BatchAdviseRequest batch;
+  batch.request = cli->request;
+  batch.request.num_threads = 1;  // concurrency goes across workers
+  StatusOr<BatchAdvisorResult> advised =
+      (*coordinator)->AdviseSchemaDistributed(*instance, batch);
   int rc = 0;
-  if (tables) {
-    BatchAdviseRequest batch;
-    batch.request = cli->request;
-    batch.request.num_threads = 1;  // concurrency goes across workers
-    StatusOr<BatchAdvisorResult> advised =
-        (*coordinator)->AdviseSchemaDistributed(*instance, batch);
-    if (!advised.ok()) {
-      std::fprintf(stderr, "distributed batch advise failed: %s\n",
-                   advised.status().ToString().c_str());
-      rc = 1;
-    } else {
-      JsonValue out = BatchAdvisorResultToJson(*instance, *advised,
-                                               cli->emit_partitioning);
-      std::printf("%s\n", out.Serialize(2).c_str());
-    }
+  if (!advised.ok()) {
+    std::fprintf(stderr, "distributed batch advise failed: %s\n",
+                 advised.status().ToString().c_str());
+    rc = 1;
   } else {
-    StatusOr<AdviseResponse> response =
-        (*coordinator)->AdviseDistributed(*instance, *cli);
-    if (!response.ok()) {
-      std::fprintf(stderr, "distributed advise failed: %s\n",
-                   response.status().ToString().c_str());
-      rc = 1;
-    } else {
-      JsonValue out = AdviseResponseToJson(*instance, *response,
-                                           cli->emit_partitioning, {});
-      std::printf("%s\n", out.Serialize(2).c_str());
-    }
+    JsonValue out = BatchAdvisorResultToJson(*instance, *advised,
+                                             cli->emit_partitioning);
+    std::printf("%s\n", out.Serialize(2).c_str());
   }
   (*coordinator)->Shutdown();
   const int dump_rc = DumpObsFiles(args);
