@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
               request.num_threads);
 
   if (batch) {
-    // Whole-schema batch mode: one independent solve per table, all tables
-    // advised concurrently on the engine's pool.
+    // Whole-schema batch mode: one independent solve per table, `threads`
+    // tables advised at a time.
     BatchAdviseRequest batch_request;
     batch_request.request = request;
     batch_request.request.num_threads = 1;  // concurrency across tables

@@ -246,8 +246,7 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
                                              !request.allow_replication));
 
   // Price the result on the original instance: reuse the solve model when
-  // no grouping happened (same instance, same coefficients), and fold the
-  // Appendix-A exposure in through the composable latency decorator.
+  // no grouping happened (same instance, same coefficients).
   std::optional<Span> price_span;
   price_span.emplace("price_result", "api");
   std::shared_ptr<const CostCoefficients> full_model = *solve_model;
@@ -258,23 +257,7 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
     VPART_RETURN_IF_ERROR(rebuilt.status());
     full_model = *rebuilt;
   }
-  result.cost = full_model->Objective(result.partitioning);
-  result.breakdown = full_model->Breakdown(result.partitioning);
-  // `result.cost`/`breakdown` stay the base objective (4) — what every
-  // paper table reports; the Appendix-A exposure (the same ψ-term the
-  // LatencyDecoratedCost wrapper adds, priced here without paying the
-  // decorator's table copy) is surfaced separately.
-  if (request.latency_penalty > 0) {
-    result.latency_cost =
-        LatencyCost(instance, result.partitioning, request.latency_penalty);
-  }
-  const Partitioning baseline =
-      SingleSiteBaseline(instance, /*num_sites=*/1);
-  result.single_site_cost = full_model->Objective(baseline);
-  result.reduction_percent =
-      result.single_site_cost > 0
-          ? 100.0 * (1.0 - result.cost / result.single_site_cost)
-          : 0.0;
+  PriceAdvice(instance, request, *full_model, result);
   const std::string label =
       run->algorithm.empty() ? *resolved : run->algorithm;
   result.algorithm_used = grouped ? label + "+groups" : label;
@@ -370,6 +353,27 @@ StatusOr<AdviseResponse> AdviseWithoutSnapshots(
     const Instance& instance, const AdviseRequest& request) {
   return RunAdvice(instance, request, DeadlineHooks(request),
                    /*snapshots=*/false);
+}
+
+void PriceAdvice(const Instance& instance, const AdviseRequest& request,
+                 const CostCoefficients& model, AdvisorResult& result) {
+  result.cost = model.Objective(result.partitioning);
+  result.breakdown = model.Breakdown(result.partitioning);
+  // `result.cost`/`breakdown` stay the base objective (4) — what every
+  // paper table reports; the Appendix-A exposure (the same ψ-term the
+  // LatencyDecoratedCost wrapper adds, priced here without paying the
+  // decorator's table copy) is surfaced separately.
+  result.latency_cost =
+      request.latency_penalty > 0
+          ? LatencyCost(instance, result.partitioning, request.latency_penalty)
+          : 0.0;
+  const Partitioning baseline =
+      SingleSiteBaseline(instance, /*num_sites=*/1);
+  result.single_site_cost = model.Objective(baseline);
+  result.reduction_percent =
+      result.single_site_cost > 0
+          ? 100.0 * (1.0 - result.cost / result.single_site_cost)
+          : 0.0;
 }
 
 }  // namespace vpart

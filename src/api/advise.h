@@ -13,10 +13,10 @@
 #include "check/audit.h"
 #include "cost/cost_coefficients.h"
 #include "cost/cost_model_spec.h"
-#include "engine/thread_pool.h"
 #include "lp/solve_stats.h"
 #include "obs/trace.h"
 #include "solver/advisor.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace vpart {
@@ -51,7 +51,7 @@ struct IlpRequestOptions {
   /// paper's "MIP tolerance gap of 0.1%").
   double mip_gap = 0.001;
   /// Branch & bound workers; 0 derives from AdviseRequest::num_threads
-  /// (direct ilp: all of them; portfolio lane: half the pool).
+  /// (direct ilp: all of them; portfolio lane: half the lane threads).
   int bnb_threads = 0;
   /// Rounding-dive primal heuristic at the root and while incumbent-less.
   bool enable_dive = true;
@@ -239,6 +239,15 @@ StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
 /// returns takes its own.
 StatusOr<AdviseResponse> AdviseWithoutSnapshots(const Instance& instance,
                                                 const AdviseRequest& request);
+
+/// Prices `result.partitioning` on `instance` as every advise response is
+/// priced: `cost` and `breakdown` are objective (4) under `model` (built
+/// on `instance` from the request's cost model), `latency_cost` is the
+/// Appendix-A exposure under `request.latency_penalty`, and
+/// `single_site_cost`/`reduction_percent` compare against the one-site
+/// layout. The dist coordinator re-prices worker answers with it.
+void PriceAdvice(const Instance& instance, const AdviseRequest& request,
+                 const CostCoefficients& model, AdvisorResult& result);
 
 }  // namespace vpart
 

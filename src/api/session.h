@@ -11,7 +11,7 @@
 #include "api/advise.h"
 #include "api/events.h"
 #include "cost/cost_coefficients.h"
-#include "engine/thread_pool.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace vpart {

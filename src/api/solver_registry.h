@@ -11,8 +11,8 @@
 #include "api/advise.h"
 #include "api/events.h"
 #include "cost/cost_coefficients.h"
-#include "engine/thread_pool.h"
 #include "mip/branch_and_bound.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace vpart {

@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
 #include "api/request_json.h"
+#include "cost/cost_model_registry.h"
 #include "dist/wire_messages.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,6 +40,34 @@ Counter& SessionsTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "vpart_dist_sessions_total", "Distributed solve sessions run");
   return counter;
+}
+
+/// Re-prices a worker's answer for `table` on the coordinator's own
+/// subinstance with the request's cost model, as RunAdvice priced it. The
+/// layout and `proven_optimal` are the worker's claims; its numbers are
+/// replaced, and a reported cost the layout does not price at fails.
+Status RepriceTableAnswer(const Instance& instance,
+                          const AdviseRequest& request,
+                          const std::string& table, AdvisorResult& answer) {
+  const Status valid = ValidatePartitioning(instance, answer.partitioning,
+                                            !request.allow_replication);
+  if (!valid.ok()) {
+    return InternalError(StrFormat("dist batch: table %s: %s", table.c_str(),
+                                   valid.message().c_str()));
+  }
+  StatusOr<std::shared_ptr<const CostCoefficients>> model =
+      CostModelRegistry::Global().Build(BorrowInstance(instance), request.cost,
+                                        request.cost_model);
+  VPART_RETURN_IF_ERROR(model.status());
+  const double reported = answer.cost;
+  PriceAdvice(instance, request, **model, answer);
+  if (!(std::abs(reported - answer.cost) <= 1e-9 * std::abs(answer.cost))) {
+    return InternalError(StrFormat(
+        "dist batch: table %s: worker reported cost %.17g, its layout "
+        "prices at %.17g",
+        table.c_str(), reported, answer.cost));
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -367,6 +397,9 @@ StatusOr<BatchAdvisorResult> DistCoordinator::AdviseSchemaDistributed(
     StatusOr<AdvisorResult> decoded = DecodeAdvisorResult(
         subs[i].instance, advisor != nullptr ? *advisor : JsonValue());
     VPART_RETURN_IF_ERROR(decoded.status());
+    VPART_RETURN_IF_ERROR(RepriceTableAnswer(
+        subs[i].instance, request,
+        instance.schema().table(subs[i].table_id).name, *decoded));
     answers.push_back(std::move(*decoded));
   }
   StatusOr<BatchAdvisorResult> merged =

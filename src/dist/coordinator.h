@@ -15,7 +15,7 @@
 #include "dist/ledger.h"
 #include "dist/transport.h"
 #include "engine/batch_advisor.h"
-#include "engine/thread_pool.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace vpart {
@@ -79,8 +79,10 @@ class DistCoordinator {
   long requeued_total() const;
 
   /// Whole-schema batch advice with per-table solves farmed across
-  /// workers. Merges byte-identically to a local AdviseSchema over
-  /// the same per-table answers.
+  /// workers. Each worker's layout is re-priced here (PriceAdvice); a
+  /// reported cost more than 1e-9 relative off fails the batch with
+  /// InternalError naming the table. Merges byte-identically to a local
+  /// AdviseSchema over the same per-table layouts.
   StatusOr<BatchAdvisorResult> AdviseSchemaDistributed(
       const Instance& instance, const BatchAdviseRequest& batch);
 

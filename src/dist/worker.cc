@@ -46,9 +46,9 @@ StatusOr<WorkerJob> LoadJob(const JsonValue& message) {
   return WorkerJob{std::move(*parsed), std::move(*split)};
 }
 
-/// Advises the unit's table with the exact per-table call AdviseSchema's
-/// in-process pool makes, so the merged advice is byte-identical to a
-/// local batch.
+/// Advises the unit's table with the exact per-table call AdviseSchema
+/// makes in process, so the merged advice is byte-identical to a local
+/// batch.
 StatusOr<JsonValue> SolveUnit(const WorkerJob& job, const JsonValue& unit) {
   StatusOr<long> table = LongField(unit, "table", -1);
   VPART_RETURN_IF_ERROR(table.status());

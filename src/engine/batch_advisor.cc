@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "api/advise.h"
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/parallel.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -120,30 +120,27 @@ StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
       "vpart_batch_tables_total", "Per-table solves run by batch advises");
   std::vector<std::optional<AdvisorResult>> results(n);
   std::vector<Status> statuses(n);
-  int threads_used = 1;
+  const int threads_used = batch.table_threads > 0 ? batch.table_threads
+                                                   : DefaultThreadCount();
   // Per-table solves go through the service API (one request template,
   // one registry resolution path) — the same pipeline AdviseSession runs,
   // minus the telemetry snapshots: a lane keeps only `result`.
-  // Each solve gets its own span on whichever pool lane picked it up, so
-  // traces show the per-table schedule across worker threads.
-  {
-    ThreadPool pool(batch.table_threads);
-    threads_used = pool.size();
-    ParallelFor(pool, 0, n, [&](int i) {
-      tables_total.Increment();
-      Span table_span("batch_table", "batch");
-      table_span.AddArg(
-          "table", instance.schema().table(subs[i].table_id).name);
-      StatusOr<AdviseResponse> advised =
-          AdviseWithoutSnapshots(subs[i].instance, request);
-      if (advised.ok()) {
-        table_span.AddArg("cost", advised->result.cost);
-        results[i] = std::move(advised->result);
-      } else {
-        statuses[i] = advised.status();
-      }
-    });
-  }
+  // Each solve gets its own span on whichever thread picked it up, so
+  // traces show the per-table schedule across threads.
+  ParallelFor(n, threads_used, [&](int i) {
+    tables_total.Increment();
+    Span table_span("batch_table", "batch");
+    table_span.AddArg("table",
+                      instance.schema().table(subs[i].table_id).name);
+    StatusOr<AdviseResponse> advised =
+        AdviseWithoutSnapshots(subs[i].instance, request);
+    if (advised.ok()) {
+      table_span.AddArg("cost", advised->result.cost);
+      results[i] = std::move(advised->result);
+    } else {
+      statuses[i] = advised.status();
+    }
+  });
   for (int i = 0; i < n; ++i) {
     if (!statuses[i].ok()) {
       return Status(statuses[i].code(),

@@ -42,7 +42,7 @@ StatusOr<std::vector<TableSubinstance>> SplitInstanceByTable(
 /// and huge).
 struct BatchAdviseRequest {
   AdviseRequest request;
-  /// Tables advised concurrently; 0 = ThreadPool::DefaultThreadCount().
+  /// Tables advised concurrently; 0 = DefaultThreadCount().
   int table_threads = 0;
 };
 
@@ -68,18 +68,19 @@ struct BatchAdvisorResult {
 
 /// Merges per-table results (results[i] answers subs[i]) into the combined
 /// whole-schema view documented on BatchAdvisorResult. This is the single
-/// merge implementation: AdviseSchema calls it after its in-process pool
+/// merge implementation: AdviseSchema calls it after its in-process table
 /// solves, and DistCoordinator calls it with results shipped back from
-/// worker processes — so distributed table-mode advice is byte-identical to
-/// a local batch over the same per-table answers. `threads_used`/`seconds`
-/// are the caller's to fill (the merge cannot know the wall clock of the
-/// solves that produced its inputs).
+/// worker processes (re-priced on the coordinator) — so distributed
+/// table-mode advice is byte-identical to a local batch over the same
+/// per-table layouts. `threads_used`/`seconds` are the caller's to fill
+/// (the merge cannot know the wall clock of the solves that produced its
+/// inputs).
 StatusOr<BatchAdvisorResult> MergeTableAdvice(
     const Instance& instance, const std::vector<TableSubinstance>& subs,
     std::vector<AdvisorResult> results, int num_sites);
 
-/// Decomposes `instance` per table and advises all tables concurrently on a
-/// work-stealing pool, each through the service API (api/advise.h). Results
+/// Decomposes `instance` per table and advises `table_threads` tables at a
+/// time (ParallelFor), each through the service API (api/advise.h). Results
 /// are identical for any thread count (the per-table solves are independent
 /// and seeded); only the wall clock changes. Fails if any per-table solve
 /// fails.

@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <future>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
 
-#include "engine/thread_pool.h"
 #include "obs/trace.h"
 #include "solver/ilp_solver.h"
 #include "solver/incremental_solver.h"
 #include "solver/sa_solver.h"
-#include "util/logging.h"
 #include "util/deadline.h"
+#include "util/logging.h"
+#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace vpart {
@@ -86,12 +86,11 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
           : CancellationToken::WithDeadline(options.time_limit_seconds);
   SharedIncumbent shared;
 
-  const int pool_size =
-      options.num_threads > 0 ? options.num_threads
-                              : ThreadPool::DefaultThreadCount();
+  const int lane_threads =
+      options.num_threads > 0 ? options.num_threads : DefaultThreadCount();
   const int bnb_threads =
       options.bnb_threads > 0 ? options.bnb_threads
-                              : std::max(1, pool_size / 2);
+                              : std::max(1, lane_threads / 2);
 
   std::mutex lanes_mu;
   std::vector<PortfolioLane> lanes;
@@ -125,9 +124,9 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     publish(*options.initial_incumbent, "seed");
   }
 
-  // On a pool too small to actually race, the heuristic lanes serialize in
-  // front of the ILP and must not eat the whole wall clock.
-  const bool lanes_race = pool_size >= 2;
+  // On one thread the heuristic lanes serialize behind the ILP; each is
+  // capped at a quarter of the race budget.
+  const bool lanes_race = lane_threads >= 2;
   const double race_budget = token.SolverBudgetSeconds();
   // 0 means "no slice cap" (the Deadline convention for unlimited).
   const double heuristic_budget =
@@ -233,18 +232,14 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     record_lane(std::move(lane));
   };
 
-  {
-    ThreadPool pool(pool_size);
-    std::vector<std::future<void>> futures;
-    // SA first: on a single-thread pool the lanes serialize, and the ILP
-    // should still start with a published bound to prune against.
-    if (options.run_sa) futures.push_back(pool.Submit(sa_lane));
-    if (options.run_incremental) {
-      futures.push_back(pool.Submit(incremental_lane));
-    }
-    if (options.run_ilp) futures.push_back(pool.Submit(ilp_lane));
-    for (auto& future : futures) future.get();
-  }
+  // Lanes start in this order; the caller runs the first (PortfolioOptions
+  // num_threads says which lanes share a thread).
+  std::vector<std::function<void()>> run;
+  if (options.run_ilp) run.push_back(ilp_lane);
+  if (options.run_incremental) run.push_back(incremental_lane);
+  if (options.run_sa) run.push_back(sa_lane);
+  ParallelFor(static_cast<int>(run.size()), lane_threads,
+              [&run](int i) { run[i](); });
 
   PortfolioResult result;
   result.seconds = watch.ElapsedSeconds();

@@ -9,8 +9,8 @@
 
 #include "check/audit.h"
 #include "cost/cost_coefficients.h"
-#include "engine/thread_pool.h"
 #include "mip/branch_and_bound.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace vpart {
@@ -31,9 +31,11 @@ struct PortfolioOptions {
   /// reports (proven means: nothing beats the winner by more than this).
   double relative_gap = 0.001;
   uint64_t seed = 1;
-  /// Pool size for the lanes; 0 = ThreadPool::DefaultThreadCount(). With 1
-  /// thread the lanes run sequentially (SA first so the ILP still benefits
-  /// from the shared bound).
+  /// Threads for the lanes; 0 = DefaultThreadCount(). Lanes start in the
+  /// order ilp, incremental, sa, the first on the caller's thread: with 1
+  /// thread all three run in that order on the caller, with 2 the ILP runs
+  /// on the caller while the other thread runs incremental, then SA, and
+  /// with 3 or more they all race.
   int num_threads = 0;
   /// Workers inside the ILP lane's branch & bound (MipOptions.num_threads).
   /// 0 derives max(1, num_threads / 2).
@@ -53,7 +55,7 @@ struct PortfolioOptions {
   /// completes (lanes past that point are wasted work for everyone).
   const CancellationToken* cancel_token = nullptr;
   /// Shared-incumbent hook: called whenever a lane takes the lead, with
-  /// the lane's name and the new leader. Invoked from lane threads right
+  /// the lane's name and the new leader. Invoked on the lane's thread right
   /// after publication (outside the incumbent mutex, so a burst of offers
   /// may deliver slightly out of order); must be thread-safe.
   std::function<void(const Partitioning& partitioning, double scalarized,

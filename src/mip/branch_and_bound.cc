@@ -4,16 +4,15 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/deadline.h"
+#include "util/logging.h"
+#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace vpart {
@@ -227,19 +226,18 @@ class TreeSearch {
         deadline_(options.time_limit_seconds),
         open_(best_first) {}
 
-  /// Searches with `workers` workers: the caller's thread is one of them,
-  /// so a single worker starts no thread. Rethrows the first exception a
-  /// worker threw (a progress callback's, say) once every worker joined.
+  /// Searches with `workers` workers on ParallelFor: the caller's thread
+  /// is one of them, so a single worker starts no thread. Rethrows the
+  /// first exception a worker threw (a progress callback's, say) once every
+  /// worker joined.
   void Run(int workers);
   /// SolveMip's answer, once Run returned.
   MipResult Result();
 
  private:
-  /// Runs Worker(); an exception stops every worker and is kept for Run.
+  /// Runs Worker(); an exception stops every worker and propagates.
   void Work();
   void Worker();
-  /// Keeps the first failure for Run and stops every worker.
-  void Fail(std::exception_ptr failure);
   /// A popped node's remaining steps (DESIGN.md "One search core"): LP,
   /// root record, prune, branch or incumbent, dive, children. Called
   /// without the lock.
@@ -297,7 +295,6 @@ class TreeSearch {
   std::vector<double> incumbent_;
   double root_bound_ = -kLpInfinity;
   SearchProof proof_;  // nodes, lp_stats and root_basis accumulate here
-  std::exception_ptr failure_;
   std::atomic<bool> diving_{false};
 };
 
@@ -315,33 +312,18 @@ void TreeSearch::Run(int workers) {
   // cold inside NodeLpSolver.
   open_.Push({std::make_shared<const Node>(), options_.root_basis});
   open_bounds_.insert(-kLpInfinity);
-
-  std::vector<std::thread> threads;
-  try {
-    for (int i = 1; i < workers; ++i) {
-      threads.emplace_back([this] { Work(); });
-    }
-  } catch (...) {
-    Fail(std::current_exception());  // no thread to spare
-  }
-  Work();
-  for (std::thread& thread : threads) thread.join();
-  if (failure_ != nullptr) std::rethrow_exception(failure_);
+  ParallelFor(workers, workers, [this](int) { Work(); });
 }
 
 void TreeSearch::Work() {
   try {
     Worker();
   } catch (...) {
-    Fail(std::current_exception());
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+    cv_.notify_all();
+    throw;
   }
-}
-
-void TreeSearch::Fail(std::exception_ptr failure) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (failure_ == nullptr) failure_ = std::move(failure);
-  stop_ = true;
-  cv_.notify_all();
 }
 
 void TreeSearch::Worker() {

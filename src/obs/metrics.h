@@ -14,7 +14,7 @@ namespace vpart {
 /// Number of per-thread cells a counter/histogram is sharded across. Hot
 /// paths pay one relaxed fetch_add on their own shard; snapshots sum all
 /// shards. 16 cache lines per counter keeps contention negligible for the
-/// pool sizes this codebase runs (ThreadPool caps well below 16 on CI).
+/// thread counts this codebase runs (well below 16 on CI).
 inline constexpr int kMetricShards = 16;
 
 namespace internal {

@@ -61,7 +61,7 @@ struct TraceSummary {
 /// Flight recorder: spans and instant events land in per-thread ring
 /// buffers (bounded memory per ring, oldest overwritten), so the last
 /// moments of a hung or cancelled solve are always inspectable. Rings are
-/// retained after their thread exits (pool workers come and go) and are
+/// retained after their thread exits (fan-out threads come and go) and are
 /// never dropped, not even by Clear(): the number of rings, and the work of
 /// every Snapshot()/Summarize(), grows with every thread that ever recorded
 /// an event or named its lane.
@@ -104,8 +104,9 @@ class Tracer {
   void RecordInstant(std::string name, const char* category,
                      std::vector<std::pair<std::string, std::string>> args);
 
-  /// Names the calling thread's lane in trace exports ("advise-session",
-  /// "pool-w3"). Safe to call repeatedly; the latest name wins.
+  /// Names the calling thread's lane in trace exports ("advise-session").
+  /// Registers the thread's ring even when it records nothing. Safe to
+  /// call repeatedly; the latest name wins.
   void SetCurrentThreadName(const std::string& name);
 
   /// Full copy of all rings, sorted by start time. O(total events).

@@ -48,19 +48,6 @@ std::optional<QueuedRequest> RequestQueue::Assign() {
   return PopLocked();
 }
 
-void RequestQueue::Restore(QueuedRequest request) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = assigned_.find(request.id);
-  const bool dropped = it == assigned_.end() || it->second.dropped;
-  if (it != assigned_.end()) assigned_.erase(it);
-  if (dropped || closed_) return;  // nobody left to answer / no re-queue
-  auto& queue =
-      request.cli.serve.qos == ServeQos::kBatch ? batch_ : interactive_;
-  queue.push_front(std::move(request));
-  lock.unlock();
-  cv_.notify_one();
-}
-
 bool RequestQueue::AttachSolveToken(uint64_t id,
                                     CancellationToken solve_token) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -108,16 +95,6 @@ void RequestQueue::Close() {
   }
   lock.unlock();
   cv_.notify_all();
-}
-
-size_t RequestQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return interactive_.size() + batch_.size();
-}
-
-size_t RequestQueue::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return assigned_.size();
 }
 
 bool RequestQueue::closed() const {

@@ -9,7 +9,7 @@
 #include <unordered_map>
 
 #include "api/request_json.h"
-#include "engine/thread_pool.h"
+#include "util/deadline.h"
 
 namespace vpart {
 
@@ -36,8 +36,6 @@ struct QueuedRequest {
 ///    once the pending depth hits the cap. Never blocks.
 ///  * Assign — blocks for work; interactive requests dequeue before batch
 ///    ones. The request is tracked in-flight until Finish.
-///  * Restore — a worker hands an assigned request back unprocessed (it
-///    re-enters at the FRONT of its class, keeping its turn).
 ///  * Finish — the assigned request is done.
 ///  * DropConnection — a connection died: its pending requests are purged
 ///    (nobody is left to answer) and the tokens of its in-flight requests
@@ -59,9 +57,6 @@ class RequestQueue {
   /// FIFO within a class.
   std::optional<QueuedRequest> Assign();
 
-  /// Returns an assigned request to the front of its class (unprocessed).
-  void Restore(QueuedRequest request);
-
   /// Replaces the in-flight token of `id` with the worker's solve token so
   /// DropConnection reaches the actual solve. Returns false when the
   /// connection already dropped (the worker should answer nobody and skip
@@ -81,8 +76,6 @@ class RequestQueue {
   /// desired. Also cancels all in-flight tokens (fast shutdown).
   void Close();
 
-  size_t depth() const;
-  size_t in_flight() const;
   bool closed() const;
 
  private:

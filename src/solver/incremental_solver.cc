@@ -163,8 +163,11 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
   while (covered < num_t) {
     // Once cancelled, fold everything left in at once and skip the
     // re-anneal below: the caller gets a complete feasible solution fast.
+    // The flag is read once per round: a cancel that lands mid-round only
+    // cuts that round's re-anneal short, and the next round folds the rest.
+    const bool stop = cancelled();
     const int next =
-        cancelled() ? num_t : std::min(num_t, covered + std::max(chunk, 1));
+        stop ? num_t : std::min(num_t, covered + std::max(chunk, 1));
     auto grown_or = BuildPrefixInstance(instance, order, next);
     assert(grown_or.ok());
     std::unique_ptr<CostCoefficients> grown_ptr = cost_model.Rebind(
@@ -184,7 +187,7 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
       PlaceTransactionGreedy(grown_model, extended, i);
     }
 
-    if (cancelled()) {
+    if (stop) {
       current = std::move(extended);
       covered = next;
       emit_progress(covered, grown_model.ScalarizedObjective(current));

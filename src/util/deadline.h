@@ -2,6 +2,8 @@
 #define VPART_UTIL_DEADLINE_H_
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 #include "util/stopwatch.h"
 
@@ -62,6 +64,68 @@ class Deadline {
  private:
   double limit_seconds_;
   Stopwatch watch_;
+};
+
+/// Cooperative cancellation handle shared by a controller and its workers.
+/// Copies alias the same state; `Cancel()` on any copy is visible to all.
+/// A token may carry a deadline: `cancelled()` reports true once either
+/// `Cancel()` was called or the deadline expired (expiry latches the flag so
+/// raw-flag observers see it too). All members are thread-safe.
+///
+/// Solver options (MipOptions, SaOptions) take `flag()`, a plain
+/// `const std::atomic<bool>*`.
+class CancellationToken {
+ public:
+  /// A token with no deadline; cancels only via Cancel().
+  CancellationToken() : state_(std::make_shared<State>(0.0)) {}
+
+  /// A token that self-cancels `limit_seconds` from now (<= 0: no deadline).
+  static CancellationToken WithDeadline(double limit_seconds) {
+    CancellationToken token;
+    token.state_ = std::make_shared<State>(limit_seconds);
+    return token;
+  }
+
+  void Cancel() { state_->flag.store(true, std::memory_order_relaxed); }
+
+  bool cancelled() const {
+    if (state_->flag.load(std::memory_order_relaxed)) return true;
+    if (state_->deadline.Expired()) {
+      // Latch so raw-flag observers (mip) see the deadline too.
+      state_->flag.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  /// Seconds until the deadline; a very large value when none.
+  double RemainingSeconds() const { return state_->deadline.RemainingSeconds(); }
+
+  bool HasDeadline() const { return state_->deadline.HasLimit(); }
+
+  /// The underlying deadline (unlimited when the token has none). Use the
+  /// Deadline helpers (SolverBudgetSeconds, RemainingUnder) instead of
+  /// re-deriving budget math at call sites.
+  const Deadline& deadline() const { return state_->deadline; }
+
+  /// Shorthand for deadline().SolverBudgetSeconds(): remaining seconds in
+  /// the `time_limit_seconds` solver-options encoding (0 = unlimited).
+  double SolverBudgetSeconds() const {
+    return state_->deadline.SolverBudgetSeconds();
+  }
+
+  /// Raw flag handle. Deadline expiry reaches the flag lazily — it latches
+  /// whenever any copy of the token polls cancelled().
+  const std::atomic<bool>* flag() const { return &state_->flag; }
+
+ private:
+  struct State {
+    explicit State(double limit_seconds) : deadline(limit_seconds) {}
+    std::atomic<bool> flag{false};
+    Deadline deadline;
+  };
+
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace vpart

@@ -271,11 +271,14 @@ TEST(AdviseSessionTest, CancelMidPortfolioReturnsBestIncumbent) {
 
   Gate first_incumbent;  // declared before the session: outlives callbacks
   AdviseSession session(instance, request);
-  session.OnIncumbent(
-      [&first_incumbent](const IncumbentEvent&) { first_incumbent.Open(); });
+  // Cancel from the callback: it runs on a lane during the solve, so the
+  // cancel always lands before the response's outcome is decided.
+  session.OnIncumbent([&first_incumbent, &session](const IncumbentEvent&) {
+    session.Cancel();
+    first_incumbent.Open();
+  });
   ASSERT_TRUE(session.Start().ok());
   ASSERT_TRUE(first_incumbent.WaitFor(30.0)) << "no incumbent within 30s";
-  session.Cancel();
   const StatusOr<AdviseResponse>& response = session.Wait();
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->outcome, AdviseOutcome::kCancelled);

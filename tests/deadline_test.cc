@@ -5,8 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "engine/thread_pool.h"
-
 namespace vpart {
 namespace {
 
@@ -51,6 +49,33 @@ TEST(DeadlineTest, ElapsedSecondsAdvances) {
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   EXPECT_GT(d.ElapsedSeconds(), 0.0);
   EXPECT_LT(d.RemainingSeconds(), 10.0);
+}
+
+TEST(CancellationTokenTest, ManualCancelSharedAcrossCopies) {
+  CancellationToken token;
+  CancellationToken copy = token;
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_FALSE(copy.flag()->load());
+  copy.Cancel();
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_TRUE(token.flag()->load());
+}
+
+TEST(CancellationTokenTest, DeadlineExpiresAndLatchesTheFlag) {
+  CancellationToken token = CancellationToken::WithDeadline(0.05);
+  EXPECT_TRUE(token.HasDeadline());
+  EXPECT_FALSE(token.cancelled());
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_TRUE(token.cancelled());
+  // Expiry latched into the raw flag for observers that only see it.
+  EXPECT_TRUE(token.flag()->load());
+}
+
+TEST(CancellationTokenTest, NoDeadlineNeverExpires) {
+  CancellationToken token;
+  EXPECT_FALSE(token.HasDeadline());
+  EXPECT_GT(token.RemainingSeconds(), 1e6);
+  EXPECT_FALSE(token.cancelled());
 }
 
 TEST(DeadlineTest, CancellationTokenSharesTheEncoding) {

@@ -20,7 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "cost/partitioning.h"
 #include "dist/coordinator.h"
+#include "dist/transport.h"
+#include "dist/wire_messages.h"
 #include "dist/worker.h"
 #include "engine/batch_advisor.h"
 #include "gtest/gtest.h"
@@ -171,6 +174,68 @@ TEST(DistFailureTest, WorkerCrashMidSessionRequeuesAndStillCertifies) {
   EXPECT_GT(cluster.coordinator->requeued_total(), 0);
   EXPECT_EQ(cluster.coordinator->usable_workers(), 1);
   cluster.coordinator->Shutdown();
+}
+
+// A worker whose numbers are wrong: it says hello and answers every unit
+// with the table's single-site layout and "cost": 1. The coordinator
+// re-prices each layout on its own subinstance and fails the batch instead
+// of summing the claimed costs.
+TEST(DistFailureTest, MisreportedWorkerCostFailsTheBatch) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TpccBatch();
+  StatusOr<std::vector<TableSubinstance>> subs = SplitInstanceByTable(tpcc);
+  ASSERT_TRUE(subs.ok()) << subs.status().ToString();
+
+  DistCoordinator::Options options;
+  options.socket_path = TestSocket("lie");
+  options.num_workers = 1;
+  options.spawn_workers = false;
+  auto started = DistCoordinator::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  auto& coordinator = *started;
+
+  std::thread worker([&] {
+    StatusOr<std::unique_ptr<Transport>> transport =
+        ConnectUds(options.socket_path);
+    if (!transport.ok()) return;
+    JsonValue hello = MakeDistMessage(kDistMsgHello);
+    hello.Set("pid", static_cast<long>(::getpid()));
+    (void)(*transport)->Send(hello);
+    while (true) {
+      StatusOr<JsonValue> message = (*transport)->Receive();
+      if (!message.ok() || DistMessageType(*message) == kDistMsgShutdown) {
+        break;
+      }
+      if (DistMessageType(*message) != kDistMsgUnit) continue;  // the job
+      const long table = LongField(*message, "table", -1).value_or(-1);
+      if (table < 0 || table >= static_cast<long>(subs->size())) break;
+      const Instance& sub = (*subs)[table].instance;
+      AdvisorResult answer;
+      answer.partitioning = SingleSiteBaseline(sub, batch.request.num_sites);
+      answer.cost = 1.0;
+      JsonValue reply = MakeDistMessage(kDistMsgUnitResult);
+      reply.Set("advisor", EncodeAdvisorResult(sub, answer));
+      reply.Set("id", LongField(*message, "id", -1).value_or(-1));
+      reply.Set("session", LongField(*message, "session", 0).value_or(0));
+      if (!(*transport)->Send(reply).ok()) break;
+    }
+    (*transport)->Close();
+  });
+  const bool attached = coordinator->WaitForWorkers(1, 30.0);
+  StatusOr<BatchAdvisorResult> dist =
+      FailedPreconditionError("the scripted worker never said hello");
+  if (attached) dist = coordinator->AdviseSchemaDistributed(tpcc, batch);
+  coordinator->Shutdown();
+  worker.join();
+
+  ASSERT_FALSE(dist.ok()) << "combined cost " << dist->combined.cost;
+  EXPECT_EQ(dist.status().code(), StatusCode::kInternal)
+      << dist.status().ToString();
+  const std::string& first_table =
+      tpcc.schema().table((*subs)[0].table_id).name;
+  EXPECT_NE(dist.status().message().find("table " + first_table),
+            std::string::npos)
+      << dist.status().ToString();
 }
 
 TEST(DistShutdownTest, StartAndShutdownJoinsEverything) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <utility>
+
 #include "api/advise.h"
 #include "api/solver_registry.h"
+#include "cost/cost_coefficients.h"
 #include "cost/cost_model.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
@@ -43,6 +48,46 @@ TEST(IncrementalSolverTest, ProducesFeasibleSolutions) {
         << "seed " << seed;
     EXPECT_DOUBLE_EQ(result.cost, model.Objective(result.partitioning));
   }
+}
+
+/// Delegates to `base` and raises `flag` on its second Rebind: inside the
+/// first growth round, after the round read the flag.
+class CancelOnSecondRebind : public CostCoefficients {
+ public:
+  CancelOnSecondRebind(const CostCoefficients& base, std::atomic<bool>& flag)
+      : CostCoefficients(base, base.backend()), base_(base), flag_(flag) {}
+
+  std::unique_ptr<CostCoefficients> Rebind(
+      std::shared_ptr<const Instance> instance) const override {
+    if (++rebinds_ == 2) flag_.store(true);
+    return base_.Rebind(std::move(instance));
+  }
+
+ private:
+  const CostCoefficients& base_;
+  std::atomic<bool>& flag_;
+  mutable int rebinds_ = 0;
+};
+
+// A cancel landing mid-round (a portfolio's ILP proof, say) still returns
+// every transaction placed.
+TEST(IncrementalSolverTest, CancelMidRoundStillPlacesEveryTransaction) {
+  RandomInstanceParams params;
+  params.num_transactions = 15;
+  params.num_tables = 6;
+  params.update_percent = 20;
+  params.seed = 601;
+  Instance instance = MakeRandomInstance(params);
+  CostModel model(&instance, {.p = 8, .lambda = 0.1});
+  std::atomic<bool> cancel{false};
+  CancelOnSecondRebind cancelling(model, cancel);
+  IncrementalOptions options;
+  options.sa.cancel_flag = &cancel;
+  SaResult result = SolveIncrementally(cancelling, 3, options);
+  EXPECT_TRUE(cancel.load());
+  ASSERT_EQ(result.partitioning.num_transactions(),
+            instance.num_transactions());
+  EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok());
 }
 
 TEST(IncrementalSolverTest, ComparableToPlainSa) {

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "api/advise.h"
 #include "api/solver_registry.h"
@@ -70,6 +73,35 @@ TEST(PortfolioTest, ProvesExhaustiveOptimumOnSmallInstances) {
     EXPECT_TRUE(result->proven_optimal) << "seed " << seed;
     EXPECT_NEAR(result->cost, truth.cost, 1e-6 * (1 + truth.cost))
         << "seed " << seed;
+  }
+}
+
+// One thread starts none: the lanes run on the caller in the order ilp,
+// incremental, sa, and every incumbent is announced there.
+TEST(PortfolioTest, OneThreadRunsTheLanesInOrderOnTheCaller) {
+  Instance instance = MakeRandomInstance(SmallParams(11));
+  CostModel model(&instance, {.p = 8, .lambda = 0.1});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int run = 0; run < 5; ++run) {
+    long incumbents = 0;
+    bool off_thread = false;
+    PortfolioOptions options;
+    options.num_sites = 2;
+    options.time_limit_seconds = 30.0;
+    options.num_threads = 1;
+    options.on_incumbent = [&](const Partitioning&, double, double,
+                               const std::string&, double) {
+      ++incumbents;
+      off_thread = off_thread || std::this_thread::get_id() != caller;
+    };
+    StatusOr<PortfolioResult> result = SolvePortfolio(model, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> order;
+    for (const PortfolioLane& lane : result->lanes) order.push_back(lane.name);
+    EXPECT_EQ(order, (std::vector<std::string>{"ilp", "incremental", "sa"}))
+        << "run " << run;
+    EXPECT_GT(incumbents, 0) << "run " << run;
+    EXPECT_FALSE(off_thread) << "run " << run;
   }
 }
 
