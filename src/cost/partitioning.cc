@@ -1,5 +1,7 @@
 #include "cost/partitioning.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace vpart {
@@ -40,6 +42,67 @@ std::vector<int> Partitioning::AttributesOnSite(int s) const {
     if (y_[Idx(a, s)]) attrs.push_back(a);
   }
   return attrs;
+}
+
+int Partitioning::AssignmentWords(int num_transactions, int site_bits) {
+  const int per_word = 64 / site_bits;
+  return (num_transactions + per_word - 1) / per_word;
+}
+
+int Partitioning::PlacementWords(int num_attributes, int num_sites) {
+  return static_cast<int>((static_cast<int64_t>(num_attributes) * num_sites +
+                           63) / 64);
+}
+
+void Partitioning::PackAssignment(int site_bits, uint64_t* out) const {
+  const int per_word = 64 / site_bits;
+  const int* x = x_.data();
+  for (int t = 0; t < num_transactions_; t += per_word) {
+    const int end = std::min(num_transactions_, t + per_word);
+    uint64_t word = 0;
+    for (int i = t; i < end; ++i) {
+      word |= static_cast<uint64_t>(x[i]) << ((i - t) * site_bits);
+    }
+    *out++ = word;
+  }
+}
+
+void Partitioning::UnpackAssignment(int site_bits, const uint64_t* in) {
+  const int per_word = 64 / site_bits;
+  const uint64_t mask = (uint64_t{1} << site_bits) - 1;
+  int* x = x_.data();
+  for (int t = 0; t < num_transactions_; t += per_word) {
+    const int end = std::min(num_transactions_, t + per_word);
+    const uint64_t word = *in++;
+    for (int i = t; i < end; ++i) {
+      x[i] = static_cast<int>((word >> ((i - t) * site_bits)) & mask);
+    }
+  }
+}
+
+void Partitioning::PackPlacement(uint64_t* out) const {
+  const uint8_t* y = y_.data();
+  const size_t bits = y_.size();
+  for (size_t b = 0; b < bits; b += 64) {
+    const size_t end = std::min(bits, b + 64);
+    uint64_t word = 0;
+    for (size_t i = b; i < end; ++i) {
+      word |= static_cast<uint64_t>(y[i]) << (i - b);
+    }
+    *out++ = word;
+  }
+}
+
+void Partitioning::UnpackPlacement(const uint64_t* in) {
+  uint8_t* y = y_.data();
+  const size_t bits = y_.size();
+  for (size_t b = 0; b < bits; b += 64) {
+    const size_t end = std::min(bits, b + 64);
+    const uint64_t word = *in++;
+    for (size_t i = b; i < end; ++i) {
+      y[i] = static_cast<uint8_t>((word >> (i - b)) & 1);
+    }
+  }
 }
 
 Status ValidatePartitioning(const Instance& instance,

@@ -46,6 +46,18 @@ class Partitioning {
   /// Attributes present on site s, ascending.
   std::vector<int> AttributesOnSite(int s) const;
 
+  /// Bit-packed copies of the two halves, for callers that key or store
+  /// many layouts compactly (the SA solver's findSolution memo). x takes
+  /// `site_bits` ≥ 1 bits per transaction (2^site_bits ≥ |S|), 64 /
+  /// site_bits transactions to a word; y takes bit a·|S| + s. Every
+  /// transaction must be assigned. Unpacking overwrites the whole half.
+  static int AssignmentWords(int num_transactions, int site_bits);
+  static int PlacementWords(int num_attributes, int num_sites);
+  void PackAssignment(int site_bits, uint64_t* out) const;
+  void UnpackAssignment(int site_bits, const uint64_t* in);
+  void PackPlacement(uint64_t* out) const;
+  void UnpackPlacement(const uint64_t* in);
+
   friend bool operator==(const Partitioning& a, const Partitioning& b) {
     return a.num_sites_ == b.num_sites_ && a.x_ == b.x_ && a.y_ == b.y_;
   }

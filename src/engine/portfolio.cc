@@ -125,12 +125,16 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
   }
 
   // On one thread the heuristic lanes serialize behind the ILP; each is
-  // capped at a quarter of the race budget.
+  // capped at a quarter of the race budget, and the ILP, which runs first,
+  // at what they leave, so a race the ILP cannot prove still gets their
+  // answers within its budget.
   const bool lanes_race = lane_threads >= 2;
   const double race_budget = token.SolverBudgetSeconds();
   // 0 means "no slice cap" (the Deadline convention for unlimited).
   const double heuristic_budget =
       (lanes_race || race_budget <= 0) ? 0.0 : race_budget * 0.25;
+  const int heuristic_lanes = options.run_sa + options.run_incremental;
+  const double ilp_budget = race_budget - heuristic_lanes * heuristic_budget;
 
   // --- SA lane: short re-anneal slices, each warm-started from the current
   // leader and published back, until the deadline or the ILP's proof.
@@ -182,11 +186,12 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     inc.sa.seed = options.seed ^ 0x9e3779b97f4a7c15ull;
     inc.sa.allow_replication = options.allow_replication;
     inc.sa.cancel_flag = token.flag();
-    // Half the global budget, further clipped by the serialized-lane slice
-    // (heuristic_budget == 0 means no slice cap).
-    inc.sa.time_limit_seconds =
-        Deadline::After(token.RemainingSeconds() / 2)
-            .RemainingUnder(heuristic_budget);
+    // Half the remaining race budget, further clipped by the
+    // serialized-lane slice (heuristic_budget == 0 means no slice cap). An
+    // expired race leaves a spent budget here, never 0 = unlimited.
+    double budget = token.SolverBudgetSeconds() / 2;
+    if (heuristic_budget > 0) budget = std::min(budget, heuristic_budget);
+    inc.sa.time_limit_seconds = budget;
     SaResult result =
         SolveIncrementally(cost_model, options.num_sites, inc);
     publish(result.partitioning, "incremental");
@@ -208,7 +213,7 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     ilp.formulation.num_sites = options.num_sites;
     ilp.formulation.allow_replication = options.allow_replication;
     ilp.mip.relative_gap = options.relative_gap;
-    ilp.mip.time_limit_seconds = token.SolverBudgetSeconds();
+    ilp.mip.time_limit_seconds = ilp_budget;
     ilp.mip.num_threads = bnb_threads;
     ilp.mip.external_upper_bound = shared.bound();
     ilp.mip.cancel_flag = token.flag();

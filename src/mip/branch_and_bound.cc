@@ -267,12 +267,12 @@ class TreeSearch {
     return have_incumbent_ ? incumbent_obj_ : kLpInfinity;
   }
   /// Per-LP wall budget: whatever remains of the MIP clock, or the raw LP
-  /// option when the search is unbounded. An expired deadline reports an
-  /// epsilon, not 0 — SimplexOptions reads <= 0 as "no limit", which would
-  /// let one node LP run unbudgeted past the MIP wall clock.
+  /// option when the search is unbounded. An expired deadline reports a
+  /// spent budget, not 0 — SimplexOptions reads <= 0 as "no limit", which
+  /// would let one node LP run unbudgeted past the MIP wall clock.
   double NodeBudget() const {
     if (!deadline_.HasLimit()) return options_.lp_options.time_limit_seconds;
-    return std::max(deadline_.RemainingSeconds(), 1e-9);
+    return deadline_.SolverBudgetSeconds();
   }
 
   const LpModel& model_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 
+#include "util/deadline.h"
 #include "util/stopwatch.h"
 
 namespace vpart {
@@ -124,9 +125,13 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
       1, static_cast<int>(std::ceil(options.initial_fraction * num_t)));
   prefix = std::min(prefix, num_t);
 
-  auto cancelled = [&options]() {
-    return options.sa.cancel_flag != nullptr &&
-           options.sa.cancel_flag->load(std::memory_order_relaxed);
+  // `sa.time_limit_seconds` budgets the whole solve: each anneal gets what
+  // is left of it, and a spent budget stops the fold-in like a cancel.
+  const Deadline deadline(options.sa.time_limit_seconds);
+  auto cancelled = [&options, &deadline]() {
+    return deadline.Expired() ||
+           (options.sa.cancel_flag != nullptr &&
+            options.sa.cancel_flag->load(std::memory_order_relaxed));
   };
   int round = 0;
   auto emit_progress = [&](int covered, double scalarized) {
@@ -153,6 +158,7 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
 
   // Lift to the permuted full solution progressively.
   long iterations = sub_result.iterations;
+  long reoptimizations = sub_result.reoptimizations;
   Partitioning current = sub_result.partitioning;
 
   const int batches = std::max(1, options.batches);
@@ -161,10 +167,11 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
 
   int covered = prefix;
   while (covered < num_t) {
-    // Once cancelled, fold everything left in at once and skip the
-    // re-anneal below: the caller gets a complete feasible solution fast.
-    // The flag is read once per round: a cancel that lands mid-round only
-    // cuts that round's re-anneal short, and the next round folds the rest.
+    // Once cancelled or out of budget, fold everything left in at once and
+    // skip the re-anneal below: the caller gets a complete feasible
+    // solution fast. The flag is read once per round: a cancel that lands
+    // mid-round only cuts that round's re-anneal short, and the next round
+    // folds the rest.
     const bool stop = cancelled();
     const int next =
         stop ? num_t : std::min(num_t, covered + std::max(chunk, 1));
@@ -196,11 +203,13 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
 
     // Short re-anneal seeded from the extended solution.
     SaOptions re = options.sa;
+    re.time_limit_seconds = deadline.SolverBudgetSeconds();
     re.initial = &extended;
     re.inner_iterations = std::max(4, options.sa.inner_iterations / 2);
     re.stale_rounds_limit = std::max(2, options.sa.stale_rounds_limit / 2);
     SaResult reannealed = SolveWithSa(grown_model, num_sites, re);
     iterations += reannealed.iterations;
+    reoptimizations += reannealed.reoptimizations;
     current = std::move(reannealed.partitioning);
     covered = next;
     emit_progress(covered, reannealed.scalarized);
@@ -222,6 +231,7 @@ SaResult SolveIncrementally(const CostCoefficients& cost_model, int num_sites,
   result.scalarized = cost_model.ScalarizedObjective(final_solution);
   result.partitioning = std::move(final_solution);
   result.iterations = iterations;
+  result.reoptimizations = reoptimizations;
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

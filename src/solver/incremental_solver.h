@@ -30,9 +30,11 @@ struct IncrementalProgress {
 struct IncrementalOptions {
   double initial_fraction = 0.20;
   int batches = 4;
-  /// Inner anneal settings. `sa.cancel_flag` also cancels the fold-in loop:
-  /// remaining transactions are placed greedily (no re-anneal) so a full,
-  /// feasible solution still comes back promptly.
+  /// Inner anneal settings. `sa.time_limit_seconds` budgets the whole
+  /// solve, every anneal taking what is left of it. A spent budget or
+  /// `sa.cancel_flag` also stops the fold-in loop: remaining transactions
+  /// are placed greedily (no re-anneal) so a full, feasible solution still
+  /// comes back promptly.
   SaOptions sa;
   std::function<void(const IncrementalProgress&)> progress;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -145,15 +146,171 @@ bool ShouldStop(const SaOptions& options, const Deadline& deadline) {
          options.cancel_flag->load(std::memory_order_relaxed);
 }
 
+/// The inner loop polls ShouldStop every this many iterations, as RunDual
+/// polls its deadline: a clock read costs 5–10% of an iteration on a small
+/// table.
+constexpr long kStopPollIterations = 64;
+
+/// Bits per transaction in a packed x: enough for every site index.
+int SiteBits(int num_sites) {
+  int bits = 1;
+  while ((1 << bits) < num_sites) ++bits;
+  return bits;
+}
+
+/// One side of findSolution's memo: a fixed half, packed into one 64-bit
+/// key, maps to whether findSolution found it feasible, the scalarized
+/// objective and the derived half (`words` packed words). Lookups compare
+/// whole keys through an open-addressing index. The memo takes its whole
+/// capacity of kMaxEntries when it engages, so adding an entry allocates
+/// nothing and one call's memo stays bounded however long it anneals. A
+/// full memo starts over, keeping what the anneal met most recently.
+class FindSolutionMemo {
+ public:
+  static constexpr int kMaxEntries = 1024;
+
+  /// Engages the memo with `words` packed words of derived half per entry.
+  void Engage(int words) {
+    words_ = words;
+    slots_.assign(kSlots, -1);
+    keys_.reserve(kMaxEntries);
+    feasible_.reserve(kMaxEntries);
+    objectives_.reserve(kMaxEntries);
+    halves_.reserve(static_cast<size_t>(kMaxEntries) * words);
+  }
+  bool engaged() const { return words_ > 0; }
+
+  /// The entry holding `key`, or -1.
+  int Find(uint64_t key) const {
+    for (size_t i = Home(key);; i = (i + 1) % kSlots) {
+      const int entry = slots_[i];
+      if (entry < 0 || keys_[entry] == key) return entry;
+    }
+  }
+
+  /// Adds `key`, which Find() did not hold, and returns the entry's half
+  /// for the caller to fill.
+  uint64_t* Add(uint64_t key, bool feasible, double objective) {
+    if (keys_.size() == kMaxEntries) {
+      std::fill(slots_.begin(), slots_.end(), -1);
+      keys_.clear();
+      feasible_.clear();
+      objectives_.clear();
+      halves_.clear();
+    }
+    const int entry = static_cast<int>(keys_.size());
+    size_t i = Home(key);
+    while (slots_[i] >= 0) i = (i + 1) % kSlots;
+    slots_[i] = entry;
+    keys_.push_back(key);
+    feasible_.push_back(feasible);
+    objectives_.push_back(objective);
+    halves_.resize(halves_.size() + words_);
+    return &halves_[static_cast<size_t>(entry) * words_];
+  }
+
+  bool feasible(int entry) const { return feasible_[entry] != 0; }
+  double objective(int entry) const { return objectives_[entry]; }
+  const uint64_t* half(int entry) const {
+    return &halves_[static_cast<size_t>(entry) * words_];
+  }
+
+ private:
+  /// Twice kMaxEntries, so the index is at most half full.
+  static constexpr int kSlotBits = 11;
+  static constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static_assert(kSlots >= 2 * kMaxEntries);
+
+  /// Fibonacci hashing: the top kSlotBits bits of key · 2^64/φ.
+  static size_t Home(uint64_t key) {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                               (64 - kSlotBits));
+  }
+
+  int words_ = 0;
+  std::vector<int> slots_;  // entry, or -1 when free
+  std::vector<uint64_t> keys_;
+  std::vector<uint8_t> feasible_;
+  std::vector<double> objectives_;
+  std::vector<uint64_t> halves_;  // words_ per entry
+};
+
 /// Scratch of one SolveWithSa call, reused by all of its anneals so the
 /// inner loop allocates nothing once the buffers have grown. Owned by the
 /// call, never static or shared: concurrent solves stay independent.
+///
+/// It also memoizes findSolution for the call. With x fixed, ComputeOptimalY reads only
+/// x; with y fixed, ComputeOptimalX reads only y; the cost model and
+/// allow_replication are fixed for the call. So the fixed half determines
+/// the derived half, its feasibility and its objective, and a fixed half
+/// the call has already solved is answered by copying them. A side engages
+/// when its fixed half packs into one 64-bit key: |T| ≤ 64 / SiteBits(|S|)
+/// for x, |A|·|S| ≤ 64 for y.
 struct AnnealWorkspace {
+  AnnealWorkspace(int num_t, int num_a, int num_sites)
+      : site_bits(SiteBits(num_sites)),
+        x_words(Partitioning::AssignmentWords(num_t, site_bits)) {
+    const int y_words = Partitioning::PlacementWords(num_a, num_sites);
+    if (x_words == 1) x_memo.Engage(y_words);
+    if (y_words == 1) y_memo.Engage(x_words + y_words);
+  }
+
   OptimalYWorkspace optimal_y;
   Partitioning candidate;
   std::vector<int> sample;  // neighbourhood indices
   std::vector<int> absent;  // sites lacking a sampled attribute
+  int site_bits;  // packed x: bits per transaction
+  int x_words;    // packed x: words
+  FindSolutionMemo x_memo;  // x → y*(x)
+  FindSolutionMemo y_memo;  // y → (x*(y), repaired y)
 };
+
+/// findSolution(fix) on `candidate`: re-optimizes the side that `fix_x`
+/// leaves free and scores the result into `objective` (set only when it
+/// returns true, i.e. feasible). A fixed half met before in this call is
+/// answered from the memo; every other one counts in `reoptimizations`.
+bool FindSolution(const CostCoefficients& cost_model, bool allow_replication,
+                  bool fix_x, AnnealWorkspace& ws, Partitioning& candidate,
+                  double& objective, long& reoptimizations) {
+  FindSolutionMemo& memo = fix_x ? ws.x_memo : ws.y_memo;
+  uint64_t key = 0;
+  if (memo.engaged()) {
+    if (fix_x) {
+      candidate.PackAssignment(ws.site_bits, &key);
+    } else {
+      candidate.PackPlacement(&key);
+    }
+    const int entry = memo.Find(key);
+    if (entry >= 0) {
+      if (!memo.feasible(entry)) return false;
+      const uint64_t* half = memo.half(entry);
+      if (!fix_x) {
+        candidate.UnpackAssignment(ws.site_bits, half);
+        half += ws.x_words;
+      }
+      candidate.UnpackPlacement(half);
+      objective = memo.objective(entry);
+      return true;
+    }
+  }
+  ++reoptimizations;
+  const bool ok =
+      fix_x ? ComputeOptimalY(cost_model, candidate, allow_replication,
+                              ws.optimal_y)
+            : ComputeOptimalX(cost_model, candidate, allow_replication);
+  if (ok) objective = cost_model.ScalarizedObjective(candidate);
+  if (memo.engaged()) {
+    uint64_t* half = memo.Add(key, ok, ok ? objective : 0.0);
+    if (ok) {
+      if (!fix_x) {
+        candidate.PackAssignment(ws.site_bits, half);
+        half += ws.x_words;
+      }
+      candidate.PackPlacement(half);
+    }
+  }
+  return ok;
+}
 
 /// One full anneal (Algorithm 1) from the given start. Appends iteration
 /// and acceptance counts into `result` and updates the global best.
@@ -217,7 +374,10 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
          !ShouldStop(options, deadline)) {
     bool improved_this_round = false;
     for (int i = 0; i < options.inner_iterations; ++i) {
-      if (ShouldStop(options, deadline)) break;
+      if (result.iterations % kStopPollIterations == 0 &&
+          ShouldStop(options, deadline)) {
+        break;
+      }
       candidate = current;  // copy-assign: reuses the candidate's buffers
 
       // Neighborhood of x: move ~10% of transactions to random sites.
@@ -244,16 +404,14 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       }
 
       // findSolution(fix): re-optimize the non-fixed side.
+      double candidate_obj = 0.0;
       const bool ok =
-          fix_x ? ComputeOptimalY(cost_model, candidate,
-                                  options.allow_replication, ws.optimal_y)
-                : ComputeOptimalX(cost_model, candidate,
-                                  options.allow_replication);
+          FindSolution(cost_model, options.allow_replication, fix_x, ws,
+                       candidate, candidate_obj, result.reoptimizations);
       fix_x = !fix_x;  // Algorithm 1 line 16
       ++result.iterations;
       if (!ok) continue;  // infeasible neighborhood (disjoint mode)
 
-      const double candidate_obj = cost_model.ScalarizedObjective(candidate);
       const double delta = candidate_obj - current_obj;
       if (delta <= 0 ||
           rng.NextDouble() < std::exp(-delta / std::max(tau, 1e-300))) {
@@ -287,7 +445,9 @@ SaResult SolveWithSa(const CostCoefficients& cost_model, int num_sites,
   Rng rng(options.seed);
 
   SaResult result;
-  AnnealWorkspace workspace;
+  const Instance& instance = cost_model.instance();
+  AnnealWorkspace workspace(instance.num_transactions(),
+                            instance.num_attributes(), num_sites);
   Partitioning global_best;
   double global_best_obj = 0.0;
 
@@ -315,7 +475,6 @@ SaResult SolveWithSa(const CostCoefficients& cost_model, int num_sites,
   // answer IS that layout, and a random multi-site start rarely walks back
   // to it.
   if (num_sites > 1 && !ShouldStop(options, deadline)) {
-    const Instance& instance = cost_model.instance();
     Partitioning single_site(instance.num_transactions(),
                              instance.num_attributes(), num_sites);
     for (int t = 0; t < instance.num_transactions(); ++t) {

@@ -106,6 +106,13 @@ struct SaResult {
   double scalarized = 0.0;  // objective (6) of the best solution
   long iterations = 0;
   long accepted = 0;
+  /// findSolution steps actually computed: `iterations` minus the steps
+  /// answered from the call's memo of fixed halves it had already solved
+  /// (a repeat copies the derived half and its objective, so the anneal
+  /// is the same either way). Equals `iterations` when neither half packs
+  /// into the memo's 64-bit key: |T| > 64 / ⌈log2 |S|⌉ (at least 1 bit per
+  /// transaction) and |A|·|S| > 64.
+  long reoptimizations = 0;
   double seconds = 0.0;
   double initial_temperature = 0.0;
 };

@@ -53,13 +53,17 @@ class Deadline {
   }
 
   /// Remaining seconds in the `time_limit_seconds` encoding solver options
-  /// use: a positive budget when a limit exists, 0.0 meaning "unlimited".
+  /// use: 0.0 means "unlimited", so a limited deadline always reports a
+  /// positive budget, and an expired one reports kSpentSeconds, a budget a
+  /// solver exhausts at once.
   double SolverBudgetSeconds() const {
-    return HasLimit() ? RemainingSeconds() : 0.0;
+    return HasLimit() ? std::max(RemainingSeconds(), kSpentSeconds) : 0.0;
   }
 
   /// Sentinel returned by RemainingSeconds() when no limit is set.
   static constexpr double kNoLimitSeconds = 1e18;
+  /// SolverBudgetSeconds() of an expired deadline.
+  static constexpr double kSpentSeconds = 1e-9;
 
  private:
   double limit_seconds_;

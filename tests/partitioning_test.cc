@@ -53,6 +53,31 @@ TEST(PartitioningTest, SiteInventories) {
   EXPECT_EQ(p.AttributesOnSite(1), (std::vector<int>{1}));
 }
 
+// The packed halves round-trip across word boundaries: 70 transactions at
+// 5 sites take 3 bits each, 21 to a word, and 30 attributes at 5 sites
+// take 150 bits.
+TEST(PartitioningTest, PackedHalvesRoundTrip) {
+  const int num_t = 70, num_a = 30, num_s = 5, site_bits = 3;
+  Partitioning p(num_t, num_a, num_s);
+  for (int t = 0; t < num_t; ++t) p.AssignTransaction(t, (t * 7 + 3) % num_s);
+  for (int a = 0; a < num_a; ++a) {
+    for (int s = 0; s < num_s; ++s) {
+      if ((a * 3 + s * 5) % 4 == 0) p.PlaceAttribute(a, s);
+    }
+  }
+  ASSERT_EQ(Partitioning::AssignmentWords(num_t, site_bits), 4);
+  ASSERT_EQ(Partitioning::PlacementWords(num_a, num_s), 3);
+  std::vector<uint64_t> x(4), y(3);
+  p.PackAssignment(site_bits, x.data());
+  p.PackPlacement(y.data());
+
+  Partitioning q(num_t, num_a, num_s);
+  q.PlaceAttribute(0, 0);  // overwritten by the unpack
+  q.UnpackAssignment(site_bits, x.data());
+  q.UnpackPlacement(y.data());
+  EXPECT_EQ(q, p);
+}
+
 TEST(ValidatePartitioningTest, AcceptsFeasible) {
   Instance instance = TinyInstance();
   Partitioning p(1, 2, 2);

@@ -16,6 +16,7 @@
 #include "solver/exhaustive_solver.h"
 #include "solver/ilp_solver.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace vpart {
 namespace {
@@ -103,6 +104,32 @@ TEST(PortfolioTest, OneThreadRunsTheLanesInOrderOnTheCaller) {
     EXPECT_GT(incumbents, 0) << "run " << run;
     EXPECT_FALSE(off_thread) << "run " << run;
   }
+}
+
+// One thread serializes the lanes, so the ILP runs first on what the two
+// heuristic quarter-budgets leave. rndAt8x15@3 takes far longer than 1 s
+// to prove, yet a 1 s race still reaches the SA lane and ends near its
+// budget.
+TEST(PortfolioTest, OneThreadLeavesTheHeuristicLanesTheirBudget) {
+  StatusOr<Instance> instance = MakeNamedRandomInstance("rndAt8x15");
+  ASSERT_TRUE(instance.ok());
+  CostModel model(&*instance, {.p = 8, .lambda = 0.1});
+  PortfolioOptions options;
+  options.num_sites = 3;
+  options.time_limit_seconds = 1.0;
+  options.num_threads = 1;
+  Stopwatch watch;
+  StatusOr<PortfolioResult> result = SolvePortfolio(model, options);
+  const double seconds = watch.ElapsedSeconds();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->proven_optimal);
+  bool sa_has_solution = false;
+  for (const PortfolioLane& lane : result->lanes) {
+    if (lane.name == "sa") sa_has_solution = lane.has_solution;
+  }
+  EXPECT_TRUE(sa_has_solution);
+  // Generous slack for sanitizer builds on a loaded machine.
+  EXPECT_LT(seconds, 3.0);
 }
 
 TEST(PortfolioTest, AdvisorRoutesThroughThePortfolio) {

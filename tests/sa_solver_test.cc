@@ -239,6 +239,14 @@ TEST(SaSolverTest, TimeLimitIsHonored) {
 // and add the same terms in the same order, so the iteration and
 // acceptance counts and the objective bits stay exactly these. The 30 s
 // budget is never reached, so no count depends on the clock.
+//
+// `reoptimizations` pins the findSolution memo: the steps it did not
+// answer from a fixed half already solved in the call. It must fall below
+// `iterations` where a half packs into the 64-bit key (every case but
+// rndAt2x65@2, where |T| = 65 > 64 at one bit per transaction and
+// |A|·|S| = 118 > 64). rndAt8x15@2 and table 0@3 fill a memo side, so they
+// pin its start-over too, and the disjoint case repeats x assignments
+// whose readers span sites, so the memo serves infeasible outcomes there.
 TEST(SaSolverTest, AnnealPathIsPinned) {
   struct Case {
     const char* name;
@@ -248,16 +256,24 @@ TEST(SaSolverTest, AnnealPathIsPinned) {
     long accepted;
     double cost;
     double scalarized;
+    long reoptimizations;
+    bool allow_replication = true;
   };
   StatusOr<Instance> rnd = MakeNamedRandomInstance("rndAt8x15");
   ASSERT_TRUE(rnd.ok());
+  StatusOr<Instance> wide = MakeNamedRandomInstance("rndAt2x65");
+  ASSERT_TRUE(wide.ok());
   StatusOr<std::vector<TableSubinstance>> tables =
       SplitInstanceByTable(MakeRandomInstance(Table1DefaultParams(100, 1)));
   ASSERT_TRUE(tables.ok());
   const Case cases[] = {
-      {"TPC-C@3", MakeTpccInstance(), 3, 3880, 1861, 36572, 34622.4},
-      {"rndAt8x15@2", std::move(*rnd), 2, 7040, 2786, 4088, 3969.8},
-      {"table 0@3", (*tables)[0].instance, 3, 3480, 1207, 92, 88},
+      {"TPC-C@3", MakeTpccInstance(), 3, 3880, 1861, 36572, 34622.4, 2168},
+      {"rndAt8x15@2", std::move(*rnd), 2, 7040, 2786, 4088, 3969.8, 5819},
+      {"table 0@3", (*tables)[0].instance, 3, 3480, 1207, 92, 88, 1516},
+      {"table 1@3 disjoint", (*tables)[1].instance, 3, 4200, 3087, 336,
+       314.40000000000003, 169, false},
+      {"TPC-C@4", MakeTpccInstance(), 4, 4080, 1903, 36572, 34622.4, 2670},
+      {"rndAt2x65@2", std::move(*wide), 2, 6560, 4386, 41172, 39054, 6560},
   };
   for (const Case& c : cases) {
     CostModel model(&c.instance, {.p = 8, .lambda = 0.1});
@@ -265,11 +281,13 @@ TEST(SaSolverTest, AnnealPathIsPinned) {
     options.seed = 1;
     options.max_restarts = 6;
     options.time_limit_seconds = 30;
+    options.allow_replication = c.allow_replication;
     const SaResult result = SolveWithSa(model, c.sites, options);
     EXPECT_EQ(result.iterations, c.iterations) << c.name;
     EXPECT_EQ(result.accepted, c.accepted) << c.name;
     EXPECT_EQ(result.cost, c.cost) << c.name;
     EXPECT_EQ(result.scalarized, c.scalarized) << c.name;
+    EXPECT_EQ(result.reoptimizations, c.reoptimizations) << c.name;
   }
 }
 
