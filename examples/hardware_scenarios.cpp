@@ -1,12 +1,12 @@
 // Hardware-scenario matrix on TPC-C: advise the same schema under every
-// registered cost-model backend and show how the recommended layout (and
+// cost-model backend and show how the recommended layout (and
 // whether partitioning pays at all) depends on the storage physics —
 //
 //   paper      byte-exact main-memory store, 10-gig network (p = 8)
 //   cacheline  line-granular memory with write amplification (p = 8)
 //   disk_page  seek-dominated row store on local disk (p = 0)
 //
-// plus a latency-decorator column showing the Appendix-A exposure of each
+// plus a latency column showing the Appendix-A exposure of each
 // recommendation at p_l = 2.
 //
 //   $ ./build/hardware_scenarios [--help]
@@ -17,9 +17,9 @@
 
 #include "api/advise.h"
 #include "cost/cost_model_registry.h"
-#include "cost/latency_decorator.h"
 #include "instances/tpcc.h"
 #include "report/table_printer.h"
+#include "solver/latency.h"
 #include "util/string_util.h"
 
 namespace {
@@ -32,11 +32,11 @@ void PrintHelp() {
   std::printf(
       "usage: hardware_scenarios\n"
       "\n"
-      "Advises TPC-C (3 sites) under every registered cost-model backend\n"
+      "Advises TPC-C (3 sites) under every cost-model backend\n"
       "and prints the scenario matrix: objective, reduction vs single-site,\n"
       "replication behavior, and the latency exposure of each layout.\n"
       "\n"
-      "registered backends: %s\n",
+      "backends: %s\n",
       JoinStrings(CostModelRegistry::Global().Names(), ", ").c_str());
 }
 
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   }
 
   Instance tpcc = MakeTpccInstance();
-  CostModelRegistry& registry = CostModelRegistry::Global();
+  const CostModelRegistry& registry = CostModelRegistry::Global();
 
   TablePrinter table({"backend", "scenario", "p", "cost", "reduction",
                       "replicated attrs", "latency@2"});
@@ -83,17 +83,12 @@ int main(int argc, char** argv) {
       if (result.partitioning.ReplicaCount(a) > 1) ++replicated;
     }
 
-    // The decorator prices the Appendix-A exposure of any layout under any
-    // networked backend; local-disk scenarios have no round trips to pay.
+    // The Appendix-A exposure of any layout under any networked backend;
+    // local-disk scenarios have no round trips to pay.
     std::string latency = "n/a";
     if (capabilities->network_transfer) {
-      auto model = registry.Build(BorrowInstance(tpcc), request.cost,
-                                  request.cost_model);
-      if (model.ok()) {
-        LatencyDecoratedCost decorated(*model, kLatencyPenalty);
-        latency =
-            StrFormat("%.0f", decorated.LatencyTerm(result.partitioning));
-      }
+      latency = StrFormat(
+          "%.0f", LatencyCost(tpcc, result.partitioning, kLatencyPenalty));
     }
 
     table.AddRow({backend, capabilities->description,
@@ -103,15 +98,14 @@ int main(int argc, char** argv) {
                   StrFormat("%d/%d", replicated, tpcc.num_attributes()),
                   latency});
   }
-  std::printf("TPC-C, 3 sites, one advise per registered cost model:\n\n%s\n",
+  std::printf("TPC-C, 3 sites, one advise per cost model:\n\n%s\n",
               table.ToString().c_str());
   std::printf(
       "Reading the matrix: the paper and cacheline backends replicate\n"
       "read-hot attributes because a fast network makes remote writes\n"
       "cheap; the seek-dominated disk backend keeps fragments wide and\n"
       "local. The latency column prices each layout's Appendix-A exposure\n"
-      "(p_l = %g per remote-touching write) via the LatencyDecoratedCost\n"
-      "wrapper without re-solving.\n",
+      "(p_l = %g per remote-touching write) without re-solving.\n",
       kLatencyPenalty);
   return 0;
 }

@@ -1,6 +1,6 @@
 // Partitioning advisor for the TPC-C workload — the paper's flagship
 // experiment as a runnable tool, driven through the service API
-// (AdviseSession + SolverRegistry).
+// (AdviseSession, with the solver picked by name from the solver table).
 //
 //   $ ./build/tpcc_advisor [sites] [p] [lambda] [solver] [threads]
 //
@@ -44,7 +44,7 @@ void PrintUsage(std::FILE* out) {
                "  lambda   in [0,1] (default 0.1)\n"
                "  solver   auto | %s | batch (default auto)\n"
                "  threads  >= 1 (default 1)\n",
-               JoinStrings(SolverRegistry::Global().Names(), " | ").c_str());
+               JoinStrings(SolverNames(), " | ").c_str());
 }
 
 /// Strict positional-int parse: rejects garbage, enforces a minimum
@@ -111,15 +111,12 @@ int main(int argc, char** argv) {
     const std::string name = argv[4];
     if (name == "batch") {
       batch = true;
-    } else if (name == kSolverAuto ||
-               SolverRegistry::Global().Contains(name)) {
+    } else if (name == kSolverAuto || FindSolver(name) != nullptr) {
       request.solver = name;
     } else {
       std::fprintf(stderr, "unknown solver: %s (available: auto, %s, "
                            "batch)\n",
-                   name.c_str(),
-                   JoinStrings(SolverRegistry::Global().Names(), ", ")
-                       .c_str());
+                   name.c_str(), JoinStrings(SolverNames(), ", ").c_str());
       return 2;
     }
   }

@@ -8,11 +8,11 @@
 #include "api/solver_registry.h"
 #include "check/certifier.h"
 #include "cost/cost_model_registry.h"
-#include "cost/latency_decorator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/attribute_groups.h"
+#include "solver/latency.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -115,7 +115,7 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
 
   // Resolve the cost-model backend up front: an unknown name or a
   // solver/model capability mismatch must fail before any solving starts.
-  CostModelRegistry& cost_registry = CostModelRegistry::Global();
+  const CostModelRegistry& cost_registry = CostModelRegistry::Global();
   StatusOr<CostBackendCapabilities> cost_caps =
       cost_registry.Capabilities(request.cost_model.backend);
   if (!cost_caps.ok()) {
@@ -139,7 +139,7 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
         "(%s) models no network; set cost.p to 0 for local placement "
         "unless the weighting is intentional",
         request.cost.p, request.cost_model.backend.c_str(),
-        cost_caps->description.c_str());
+        cost_caps->description);
     VPART_LOG(Warning) << warning;
     response.warnings.push_back(warning);
   }
@@ -169,17 +169,13 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
     }
   }
 
-  SolverRegistry& registry = SolverRegistry::Global();
   StatusOr<std::string> resolved = InvalidArgumentError("unresolved");
-  StatusOr<std::unique_ptr<Solver>> solver = InvalidArgumentError("uncreated");
   {
     Span dispatch_span("registry_dispatch", "registry");
     dispatch_span.AddArg("requested", request.solver);
-    resolved = registry.Resolve(*solve_instance, request, &response.warnings);
+    resolved = ResolveSolver(*solve_instance, request, &response.warnings);
     VPART_RETURN_IF_ERROR(resolved.status());
     dispatch_span.AddArg("resolved", *resolved);
-    solver = registry.Create(*resolved);
-    VPART_RETURN_IF_ERROR(solver.status());
   }
 
   // Wrap the caller's hooks so the response can report stream telemetry.
@@ -234,7 +230,7 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
   {
     Span solve_span("solve", "api");
     solve_span.AddArg("solver", *resolved);
-    run = (*solver)->Solve(**solve_model, *active_request, ctx);
+    run = FindSolver(*resolved)->solve(**solve_model, *active_request, ctx);
     VPART_RETURN_IF_ERROR(run.status());
   }
 
@@ -360,9 +356,7 @@ void PriceAdvice(const Instance& instance, const AdviseRequest& request,
   result.cost = model.Objective(result.partitioning);
   result.breakdown = model.Breakdown(result.partitioning);
   // `result.cost`/`breakdown` stay the base objective (4) — what every
-  // paper table reports; the Appendix-A exposure (the same ψ-term the
-  // LatencyDecoratedCost wrapper adds, priced here without paying the
-  // decorator's table copy) is surfaced separately.
+  // paper table reports; the Appendix-A exposure is surfaced separately.
   result.latency_cost =
       request.latency_penalty > 0
           ? LatencyCost(instance, result.partitioning, request.latency_penalty)

@@ -93,14 +93,14 @@ struct PortfolioRequestOptions {
 };
 
 /// A service-style advise request: which instance knob settings to solve
-/// under, which solver (by registry name) to use, and the per-solver
+/// under, which solver (by name) to use, and the per-solver
 /// blocks. The instance itself is passed alongside the request (the
 /// request stays a cheap value type that can be serialized, queued, and
 /// replayed — see api/request_json.h).
 struct AdviseRequest {
-  /// Registry name: "auto", "ilp", "sa", "exhaustive", "incremental",
-  /// "portfolio", or any custom-registered solver. "auto" resolves via
-  /// SolverRegistry capabilities (see solver_registry.h).
+  /// Solver name: "auto", "ilp", "sa", "exhaustive", "incremental" or
+  /// "portfolio". "auto" is a policy over the other five
+  /// (ResolveSolver in solver_registry.h).
   std::string solver = "auto";
   int num_sites = 2;
   /// Worker threads granted to the solve. "auto" picks the portfolio
@@ -109,17 +109,17 @@ struct AdviseRequest {
   /// Family-wide cost knobs (network weight p, load-balance λ) shared by
   /// every backend.
   CostParams cost;
-  /// Which cost-model backend prices the placement ("paper", "cacheline",
-  /// "disk_page", or any custom-registered name) plus its per-backend
-  /// option blocks. Resolved via CostModelRegistry; unknown names and
-  /// capability mismatches (e.g. latency_penalty over a backend with no
-  /// network transfer term) fail before any solving starts.
+  /// Which cost-model backend prices the placement ("paper", "cacheline"
+  /// or "disk_page") plus its per-backend option blocks. Resolved via
+  /// CostModelRegistry; unknown names and capability mismatches (e.g.
+  /// latency_penalty over a backend with no network transfer term) fail
+  /// before any solving starts.
   CostModelSpec cost_model;
   bool allow_replication = true;
   /// Apply the §4 reasonable-cuts reduction before solving (exact).
   bool use_attribute_grouping = true;
   /// Appendix-A per-query latency penalty; only the ILP prices it exactly
-  /// (capability `latency_penalty` in the registry).
+  /// (SolverEntry::prices_latency in solver_registry.h).
   double latency_penalty = 0.0;
   /// Whole-request wall clock; <= 0 means unlimited. Sessions turn this
   /// into the CancellationToken deadline shared by every stage.
@@ -160,10 +160,10 @@ struct AdviseResponse {
   /// algorithm_used detail label) — same struct the legacy API returns, so
   /// reports and benches consume either path unchanged.
   AdvisorResult result;
-  /// Registry name of the solver that actually ran ("ilp", "sa", ...);
-  /// resolves "auto" so callers see the real choice.
+  /// Name of the solver that actually ran ("ilp", "sa", ...); resolves
+  /// "auto" so callers see the real choice.
   std::string solver_used;
-  /// Registry name of the cost-model backend that priced the solve.
+  /// Name of the cost-model backend that priced the solve.
   std::string cost_model_used;
   AdviseOutcome outcome = AdviseOutcome::kComplete;
   /// Human-readable advisories: capability downgrades ("auto" skipping the
@@ -218,9 +218,9 @@ struct AdviseHooks {
   const std::atomic<bool>* user_cancelled = nullptr;
 };
 
-/// Synchronous advise through the registry: resolves the solver, applies
-/// attribute grouping, solves, validates, and prices the result. The
-/// blocking core that AdviseSession runs on a background thread.
+/// Synchronous advise: resolves the solver, applies attribute grouping,
+/// solves, validates, and prices the result. The blocking core that
+/// AdviseSession runs on a background thread.
 StatusOr<AdviseResponse> Advise(const Instance& instance,
                                 const AdviseRequest& request);
 

@@ -336,11 +336,10 @@ StatusOr<CliRequest> ParseCliRequest(const std::string& json_text) {
   if (request.num_threads < 0) {
     return InvalidArgumentError("\"num_threads\" must be >= 0");
   }
-  if (request.solver != kSolverAuto &&
-      !SolverRegistry::Global().Contains(request.solver)) {
+  if (request.solver != kSolverAuto && FindSolver(request.solver) == nullptr) {
     return InvalidArgumentError(
         "unknown solver \"" + request.solver + "\" (available: auto, " +
-        JoinStrings(SolverRegistry::Global().Names(), ", ") + ")");
+        JoinStrings(SolverNames(), ", ") + ")");
   }
   if (!CostModelRegistry::Global().Contains(request.cost_model.backend)) {
     return InvalidArgumentError(

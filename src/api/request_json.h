@@ -21,11 +21,11 @@ namespace vpart {
 ///     "instance": {"builtin": "tpcc"}            // or {"file": "x.vpi"}
 ///                                                // or {"text": "..."}
 ///                                                // or {"random": "rndAt8x15"}
-///     "solver": "auto",                          // registry name
+///     "solver": "auto",                          // solver name
 ///     "num_sites": 3, "num_threads": 4,
 ///     "cost": {"p": 8, "lambda": 0.1},
 ///     "cost_model": {"backend": "paper",          // or "cacheline",
-///                                                 // "disk_page", custom
+///                                                 // "disk_page"
 ///       "cacheline": {"line_bytes": 64, "row_header_bytes": 4,
 ///                     "read_factor": 1, "write_factor": 2,
 ///                     "transfer_header_bytes": 0},

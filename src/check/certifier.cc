@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "cost/cost_model_registry.h"
-#include "cost/latency_decorator.h"
+#include "solver/latency.h"
 #include "util/string_util.h"
 
 namespace vpart {

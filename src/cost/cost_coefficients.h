@@ -33,9 +33,7 @@ struct CostBreakdown {
   double read_access = 0.0;   // A_R: storage-layer units read
   double write_access = 0.0;  // A_W: storage-layer units written
   double transfer = 0.0;      // B: units shipped between sites (unweighted)
-  /// Appendix-A latency term; nonzero only for latency-decorated models.
-  double latency = 0.0;
-  /// A_R + A_W + p·B + latency = Objective().
+  /// A_R + A_W + p·B = Objective().
   double total = 0.0;
 };
 
@@ -48,8 +46,8 @@ std::shared_ptr<const Instance> BorrowInstance(const Instance& instance);
 
 /// The cost-model contract every solver consumes: precomputed objective
 /// coefficients c1..c4 in the shape of the paper's eq. (4)/(5) plus the
-/// evaluation surface (the virtual Objective/Breakdown/ScalarizedObjective,
-/// and the table-driven SiteLoad and marginal helpers the heuristics use).
+/// evaluation surface (Objective/Breakdown/ScalarizedObjective, SiteLoad
+/// and the marginal helpers the heuristics use), all driven by the tables.
 /// Backends differ only in the *physics* behind the coefficients — how
 /// many storage-layer units query q pays per touched attribute a, and how
 /// many units a remote replica costs on the wire — which they supply
@@ -72,8 +70,8 @@ class CostCoefficients {
     return instance_;
   }
   const CostParams& params() const { return params_; }
-  /// Registry name of the backend that produced these coefficients
-  /// ("paper", "cacheline", ...; decorators append a "+tag").
+  /// Name of the backend that produced these coefficients ("paper",
+  /// "cacheline", "disk_page").
   const std::string& backend() const { return backend_; }
 
   /// c1(a,t) = Σ_q W·γ·(β(1−δ) − p·α·δ): per-(attribute, transaction)
@@ -88,12 +86,12 @@ class CostCoefficients {
 
   /// Objective (4): Σ c1·x·y + Σ c2·y — the "actual cost" the paper reports
   /// in every table. Requires all transactions assigned.
-  virtual double Objective(const Partitioning& partitioning) const;
+  double Objective(const Partitioning& partitioning) const;
 
   /// Objective (4) recomputed from first principles (A_R + A_W + p·B);
   /// `total` must equal Objective() up to rounding — unit tested for every
-  /// registered backend.
-  virtual CostBreakdown Breakdown(const Partitioning& partitioning) const;
+  /// backend.
+  CostBreakdown Breakdown(const Partitioning& partitioning) const;
 
   /// Eq. (5): work of site s.
   double SiteLoad(const Partitioning& partitioning, int s) const;
@@ -102,14 +100,12 @@ class CostCoefficients {
   double MaxLoad(const Partitioning& partitioning) const;
 
   /// Eq. (6) as intended: (1−λ)·Objective + λ·MaxLoad. This is what the
-  /// solvers minimize; Objective() is what gets reported. The default
-  /// scores the base objective and every site's load in one pass over the
-  /// transactions, each accumulator taking the same terms in the same
-  /// order as Objective() and SiteLoad(), so it equals
-  /// (1−λ)·Objective() + λ·MaxLoad() bit for bit. It never calls the
-  /// virtual Objective(): a class that overrides Objective() must also
-  /// override ScalarizedObjective().
-  virtual double ScalarizedObjective(const Partitioning& partitioning) const;
+  /// solvers minimize; Objective() is what gets reported. It scores the
+  /// objective and every site's load in one pass over the transactions,
+  /// each accumulator taking the same terms in the same order as
+  /// Objective() and SiteLoad(), so it equals
+  /// (1−λ)·Objective() + λ·MaxLoad() bit for bit.
+  double ScalarizedObjective(const Partitioning& partitioning) const;
 
   /// Σ_a c1(a,t)·y[a][s]: cost contribution of placing transaction t on s
   /// given the attribute placement in `partitioning`. Used by the SA solver
@@ -127,8 +123,8 @@ class CostCoefficients {
   /// referenced attribute a — the α-side physics. Only the cold paths use
   /// it (Breakdown's transfer component; the hot coefficients are
   /// precomputed), so it is virtual: backends override it consistently
-  /// with the transfer functor they precompute with, and decorators
-  /// delegate to their base. The default is the paper's W_{a,q}.
+  /// with the transfer functor they precompute with. The default is the
+  /// paper's W_{a,q}.
   virtual double TransferWeight(int a, int q) const {
     return instance_->W(a, q);
   }
@@ -146,8 +142,9 @@ class CostCoefficients {
   CostCoefficients(std::shared_ptr<const Instance> instance,
                    CostParams params, std::string backend);
 
-  /// Decorator support: copy the wrapped model's tables (sharing its
-  /// instance) under a derived name without re-running Precompute().
+  /// Copies another model's tables (sharing its instance) under `backend`
+  /// without re-running Precompute(), for a wrapper that overrides only
+  /// Rebind().
   CostCoefficients(const CostCoefficients& other, std::string backend);
 
   /// Assembles c1..c4 from two weight functors, which inline into the

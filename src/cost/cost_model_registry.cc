@@ -1,5 +1,6 @@
 #include "cost/cost_model_registry.h"
 
+#include <array>
 #include <utility>
 
 #include "cost/cost_backends.h"
@@ -25,65 +26,75 @@ Status ValidateNonNegative(const char* name, double value) {
   return Status::Ok();
 }
 
-void RegisterBuiltins(CostModelRegistry& registry) {
-  CostBackendCapabilities paper;
-  paper.description =
-      "the paper's byte-exact main-memory model (W = w*f*n)";
-  registry.Register(
-      kCostModelPaper, paper,
-      [](std::shared_ptr<const Instance> instance, const CostParams& params,
-         const CostModelSpec&)
-          -> StatusOr<std::shared_ptr<const CostCoefficients>> {
-        return std::shared_ptr<const CostCoefficients>(
-            std::make_shared<CostModel>(std::move(instance), params));
-      });
+using BuiltModel = StatusOr<std::shared_ptr<const CostCoefficients>>;
 
-  CostBackendCapabilities cacheline;
-  cacheline.additive_widths = false;  // whole-line rounding per attribute
-  cacheline.description =
-      "cache-line-granular main-memory store with read/write asymmetry";
-  registry.Register(
-      kCostModelCacheline, cacheline,
-      [](std::shared_ptr<const Instance> instance, const CostParams& params,
-         const CostModelSpec& spec)
-          -> StatusOr<std::shared_ptr<const CostCoefficients>> {
-        const CachelineCostOptions& o = spec.cacheline;
-        VPART_RETURN_IF_ERROR(
-            ValidatePositive("cacheline.line_bytes", o.line_bytes));
-        VPART_RETURN_IF_ERROR(ValidateNonNegative("cacheline.row_header_bytes",
-                                                  o.row_header_bytes));
-        VPART_RETURN_IF_ERROR(
-            ValidateNonNegative("cacheline.read_factor", o.read_factor));
-        VPART_RETURN_IF_ERROR(
-            ValidateNonNegative("cacheline.write_factor", o.write_factor));
-        VPART_RETURN_IF_ERROR(ValidateNonNegative(
-            "cacheline.transfer_header_bytes", o.transfer_header_bytes));
-        return std::shared_ptr<const CostCoefficients>(
-            std::make_shared<CachelineCostModel>(std::move(instance), params,
-                                                 o));
-      });
+BuiltModel BuildPaper(std::shared_ptr<const Instance> instance,
+                      const CostParams& params, const CostModelSpec&) {
+  return std::shared_ptr<const CostCoefficients>(
+      std::make_shared<CostModel>(std::move(instance), params));
+}
 
-  CostBackendCapabilities disk_page;
-  disk_page.network_transfer = false;  // local/SAN row store on disk
-  disk_page.additive_widths = false;   // whole-page rounding + seeks
-  disk_page.description =
-      "Navathe-style block-access model for a row store on disk";
-  registry.Register(
-      kCostModelDiskPage, disk_page,
-      [](std::shared_ptr<const Instance> instance, const CostParams& params,
-         const CostModelSpec& spec)
-          -> StatusOr<std::shared_ptr<const CostCoefficients>> {
-        const DiskPageCostOptions& o = spec.disk_page;
-        VPART_RETURN_IF_ERROR(
-            ValidatePositive("disk_page.page_bytes", o.page_bytes));
-        VPART_RETURN_IF_ERROR(
-            ValidateNonNegative("disk_page.seek_pages", o.seek_pages));
-        VPART_RETURN_IF_ERROR(
-            ValidateNonNegative("disk_page.write_factor", o.write_factor));
-        return std::shared_ptr<const CostCoefficients>(
-            std::make_shared<DiskPageCostModel>(std::move(instance), params,
-                                                o));
-      });
+BuiltModel BuildCacheline(std::shared_ptr<const Instance> instance,
+                          const CostParams& params,
+                          const CostModelSpec& spec) {
+  const CachelineCostOptions& o = spec.cacheline;
+  VPART_RETURN_IF_ERROR(
+      ValidatePositive("cacheline.line_bytes", o.line_bytes));
+  VPART_RETURN_IF_ERROR(ValidateNonNegative("cacheline.row_header_bytes",
+                                            o.row_header_bytes));
+  VPART_RETURN_IF_ERROR(
+      ValidateNonNegative("cacheline.read_factor", o.read_factor));
+  VPART_RETURN_IF_ERROR(
+      ValidateNonNegative("cacheline.write_factor", o.write_factor));
+  VPART_RETURN_IF_ERROR(ValidateNonNegative("cacheline.transfer_header_bytes",
+                                            o.transfer_header_bytes));
+  return std::shared_ptr<const CostCoefficients>(
+      std::make_shared<CachelineCostModel>(std::move(instance), params, o));
+}
+
+BuiltModel BuildDiskPage(std::shared_ptr<const Instance> instance,
+                         const CostParams& params,
+                         const CostModelSpec& spec) {
+  const DiskPageCostOptions& o = spec.disk_page;
+  VPART_RETURN_IF_ERROR(ValidatePositive("disk_page.page_bytes", o.page_bytes));
+  VPART_RETURN_IF_ERROR(
+      ValidateNonNegative("disk_page.seek_pages", o.seek_pages));
+  VPART_RETURN_IF_ERROR(
+      ValidateNonNegative("disk_page.write_factor", o.write_factor));
+  return std::shared_ptr<const CostCoefficients>(
+      std::make_shared<DiskPageCostModel>(std::move(instance), params, o));
+}
+
+struct Backend {
+  const char* name;
+  CostBackendCapabilities capabilities;
+  BuiltModel (*build)(std::shared_ptr<const Instance> instance,
+                      const CostParams& params, const CostModelSpec& spec);
+};
+
+/// The backends, sorted by name.
+constexpr std::array<Backend, 3> kBackends = {{
+    {kCostModelCacheline,
+     {/*network_transfer=*/true,
+      /*additive_widths=*/false,  // whole-line rounding per attribute
+      "cache-line-granular main-memory store with read/write asymmetry"},
+     BuildCacheline},
+    {kCostModelDiskPage,
+     {/*network_transfer=*/false,  // local/SAN row store on disk
+      /*additive_widths=*/false,   // whole-page rounding + seeks
+      "Navathe-style block-access model for a row store on disk"},
+     BuildDiskPage},
+    {kCostModelPaper,
+     {/*network_transfer=*/true, /*additive_widths=*/true,
+      "the paper's byte-exact main-memory model (W = w*f*n)"},
+     BuildPaper},
+}};
+
+const Backend* FindBackend(const std::string& name) {
+  for (const Backend& backend : kBackends) {
+    if (name == backend.name) return &backend;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -93,7 +104,7 @@ Status ValidateCostModelSpec(const CostModelSpec& spec) {
     return InvalidArgumentError("cost_model.backend must not be empty");
   }
   // Only the selected backend's block applies ("unrelated blocks are
-  // ignored" — cost_model_spec.h); its factory re-validates on Build.
+  // ignored" — cost_model_spec.h); its build function re-validates it.
   if (spec.backend == kCostModelCacheline) {
     VPART_RETURN_IF_ERROR(
         ValidatePositive("cacheline.line_bytes", spec.cacheline.line_bytes));
@@ -105,66 +116,28 @@ Status ValidateCostModelSpec(const CostModelSpec& spec) {
   return Status::Ok();
 }
 
-CostModelRegistry& CostModelRegistry::Global() {
-  static CostModelRegistry* registry = []() {
-    auto* r = new CostModelRegistry();
-    RegisterBuiltins(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-Status CostModelRegistry::Register(const std::string& name,
-                                   CostBackendCapabilities capabilities,
-                                   CostModelFactory factory) {
-  if (name.empty()) {
-    return InvalidArgumentError("invalid cost model name: ''");
-  }
-  if (factory == nullptr) {
-    return InvalidArgumentError("cost model factory must not be null");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = backends_.emplace(
-      name, Entry{std::move(capabilities), std::move(factory)});
-  (void)it;
-  if (!inserted) {
-    return AlreadyExistsError("cost model '" + name +
-                              "' already registered");
-  }
-  return Status::Ok();
-}
-
-Status CostModelRegistry::Unregister(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (backends_.erase(name) == 0) {
-    return NotFoundError("cost model '" + name + "' not registered");
-  }
-  return Status::Ok();
+const CostModelRegistry& CostModelRegistry::Global() {
+  static const CostModelRegistry registry{};
+  return registry;
 }
 
 bool CostModelRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return backends_.count(name) > 0;
+  return FindBackend(name) != nullptr;
 }
 
 StatusOr<CostBackendCapabilities> CostModelRegistry::Capabilities(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
-    return NotFoundError("cost model '" + name + "' not registered");
+  const Backend* backend = FindBackend(name);
+  if (backend == nullptr) {
+    return NotFoundError("unknown cost model '" + name + "'");
   }
-  return it->second.capabilities;
+  return backend->capabilities;
 }
 
 std::vector<std::string> CostModelRegistry::Names() const {
   std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    names.reserve(backends_.size());
-    for (const auto& [name, entry] : backends_) names.push_back(name);
-  }
-  return names;  // std::map iterates sorted
+  for (const Backend& backend : kBackends) names.emplace_back(backend.name);
+  return names;
 }
 
 StatusOr<std::shared_ptr<const CostCoefficients>> CostModelRegistry::Build(
@@ -173,24 +146,12 @@ StatusOr<std::shared_ptr<const CostCoefficients>> CostModelRegistry::Build(
   if (instance == nullptr) {
     return InvalidArgumentError("cost model needs an instance");
   }
-  CostModelFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = backends_.find(spec.backend);
-    if (it != backends_.end()) factory = it->second.factory;
-  }
-  if (factory == nullptr) {
+  const Backend* backend = FindBackend(spec.backend);
+  if (backend == nullptr) {
     return NotFoundError("unknown cost model '" + spec.backend +
                          "' (available: " + JoinStrings(Names(), ", ") + ")");
   }
-  StatusOr<std::shared_ptr<const CostCoefficients>> built =
-      factory(std::move(instance), params, spec);
-  VPART_RETURN_IF_ERROR(built.status());
-  if (*built == nullptr) {
-    return InternalError("factory for cost model '" + spec.backend +
-                         "' returned null");
-  }
-  return built;
+  return backend->build(std::move(instance), params, spec);
 }
 
 }  // namespace vpart

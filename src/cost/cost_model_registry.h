@@ -1,10 +1,7 @@
 #ifndef VPART_COST_COST_MODEL_REGISTRY_H_
 #define VPART_COST_COST_MODEL_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,13 +11,13 @@
 
 namespace vpart {
 
-/// What a registered cost-model backend can express; the advise
-/// orchestrator queries these to reject solver/model mismatches up front
-/// instead of producing silently-wrong numbers.
+/// What a cost-model backend can express; the advise orchestrator queries
+/// these to reject solver/model mismatches up front instead of producing
+/// silently-wrong numbers.
 struct CostBackendCapabilities {
   /// The transfer term prices bytes shipped between networked sites. The
-  /// Appendix-A latency decorator (AdviseRequest::latency_penalty) models
-  /// network round trips and only composes with such backends — requesting
+  /// Appendix-A latency term (AdviseRequest::latency_penalty) models
+  /// network round trips and only applies to such backends — requesting
   /// it against e.g. the local-disk backend is an InvalidArgument.
   bool network_transfer = true;
   /// Weights are additive in attribute width, so the §4 attribute
@@ -31,57 +28,30 @@ struct CostBackendCapabilities {
   /// objective.
   bool additive_widths = true;
   /// One-line scenario summary for --help and error messages.
-  std::string description;
+  const char* description = "";
 };
 
-/// Backend factory: builds coefficients for one instance under the
-/// family-wide params (p, λ) and the backend's block of `spec`. Factories
-/// must validate their block and may fail with InvalidArgument.
-using CostModelFactory =
-    std::function<StatusOr<std::shared_ptr<const CostCoefficients>>(
-        std::shared_ptr<const Instance> instance, const CostParams& params,
-        const CostModelSpec& spec)>;
-
-/// Name -> (capabilities, factory) registry behind the pluggable cost-model
-/// API, mirroring SolverRegistry: the global instance self-registers the
-/// built-in backends (paper, cacheline, disk_page) on first use; embedders
-/// may add their own physics, which requests then select by name. All
-/// methods are thread-safe.
+/// The three built-in cost-model backends (paper, cacheline, disk_page)
+/// behind the request's `cost_model.backend` name. The set is fixed; the
+/// process-wide instance answers every lookup, from any thread.
 class CostModelRegistry {
  public:
-  /// The process-wide registry (built-ins pre-registered).
-  static CostModelRegistry& Global();
-
-  /// Registers a backend; fails with kAlreadyExists on a duplicate name.
-  Status Register(const std::string& name,
-                  CostBackendCapabilities capabilities,
-                  CostModelFactory factory);
-
-  /// Removes a registered backend (primarily for tests).
-  Status Unregister(const std::string& name);
+  static const CostModelRegistry& Global();
 
   bool Contains(const std::string& name) const;
   StatusOr<CostBackendCapabilities> Capabilities(
       const std::string& name) const;
 
-  /// Registered names, sorted.
+  /// Backend names, sorted.
   std::vector<std::string> Names() const;
 
-  /// Resolves spec.backend and builds the coefficients. Unknown names fail
-  /// with kNotFound listing the registered backends (consistent with the
-  /// solver registry's errors).
+  /// Resolves spec.backend and builds the coefficients, validating the
+  /// backend's option block (InvalidArgument). Unknown names fail with
+  /// kNotFound listing the backends (consistent with the unknown-solver
+  /// error).
   StatusOr<std::shared_ptr<const CostCoefficients>> Build(
       std::shared_ptr<const Instance> instance, const CostParams& params,
       const CostModelSpec& spec) const;
-
- private:
-  struct Entry {
-    CostBackendCapabilities capabilities;
-    CostModelFactory factory;
-  };
-
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> backends_;
 };
 
 }  // namespace vpart

@@ -7,7 +7,7 @@
 
 namespace vpart {
 
-/// Built-in cost-model registry names (see cost/cost_model_registry.h).
+/// Cost-model backend names (see cost/cost_model_registry.h).
 inline constexpr const char* kCostModelPaper = "paper";
 inline constexpr const char* kCostModelCacheline = "cacheline";
 inline constexpr const char* kCostModelDiskPage = "disk_page";
@@ -51,20 +51,20 @@ struct DiskPageCostOptions {
 };
 
 /// Typed cost-model selection carried by AdviseRequest, mirroring the
-/// solver side: a registry backend name plus per-backend option blocks.
+/// solver side: a backend name plus per-backend option blocks.
 /// Each block only applies when the named backend runs; unrelated blocks
 /// are ignored. JSON binding (with unknown-key rejection) lives in
 /// api/request_json.cc.
 struct CostModelSpec {
-  /// Cost-model registry name: "paper", "cacheline", "disk_page", or any
-  /// custom-registered backend.
+  /// Backend name: "paper", "cacheline" or "disk_page".
   std::string backend = kCostModelPaper;
   CachelineCostOptions cacheline;
   DiskPageCostOptions disk_page;
 };
 
 /// Structural validation of the per-backend blocks (positive sizes,
-/// non-negative factors). Backend-name resolution happens in the registry.
+/// non-negative factors). Backend-name resolution happens in
+/// CostModelRegistry.
 Status ValidateCostModelSpec(const CostModelSpec& spec);
 
 }  // namespace vpart

@@ -1,150 +1,78 @@
 #include "dist/transport.h"
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "util/wire.h"
 
 namespace vpart {
-namespace {
 
-/// One connected stream socket speaking framed JSON. Send serializes under
-/// a mutex so concurrent writers cannot interleave frames; Receive has a
-/// single caller by contract, so reads run unlocked.
-class FdTransport : public Transport {
- public:
-  explicit FdTransport(int fd) : fd_(fd) {}
-  ~FdTransport() override { Close(); }
+Status Transport::Send(const JsonValue& message) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  const int fd = fd_.load(std::memory_order_acquire);
+  if (fd < 0) return InternalError("transport closed");
+  return WriteFrame(fd, message.Serialize());
+}
 
-  Status Send(const JsonValue& message) override {
-    std::lock_guard<std::mutex> lock(write_mu_);
+StatusOr<JsonValue> Transport::Receive() {
+  const int fd = fd_.load(std::memory_order_acquire);
+  if (fd < 0) return NotFoundError("connection closed");
+  StatusOr<std::string> frame = ReadFrame(fd);
+  VPART_RETURN_IF_ERROR(frame.status());
+  return JsonValue::Parse(*frame);
+}
+
+void Transport::Abort() {
+  // shutdown() (not close) wakes a blocked Receive without freeing the
+  // descriptor under it — the reader thread still owns the fd value.
+  const int fd = fd_.load(std::memory_order_acquire);
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+}
+
+void Transport::Close() {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) ::close(fd);
+}
+
+StatusOr<std::unique_ptr<Transport>> TransportListener::Accept() {
+  while (true) {
     const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) return InternalError("transport closed");
-    return WriteFrame(fd, message.Serialize());
+    if (fd < 0) return NotFoundError("listener closed");
+    const int client = ::accept(fd, nullptr, nullptr);
+    if (client >= 0) return std::make_unique<Transport>(client);
+    if (errno == EINTR) continue;
+    return InternalError(std::string("accept failed: ") +
+                         std::strerror(errno));
   }
+}
 
-  StatusOr<JsonValue> Receive() override {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) return NotFoundError("connection closed");
-    StatusOr<std::string> frame = ReadFrame(fd);
-    VPART_RETURN_IF_ERROR(frame.status());
-    return JsonValue::Parse(*frame);
+void TransportListener::Close() {
+  // shutdown() wakes a blocked Accept (it fails with EINVAL); close()
+  // after the exchange so a concurrent Accept never races the free.
+  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
+    ::unlink(path_.c_str());
   }
-
-  void Abort() override {
-    // shutdown() (not close) wakes a blocked Receive without freeing the
-    // descriptor under it — the reader thread still owns the fd value.
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  }
-
-  void Close() override {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-    if (fd >= 0) ::close(fd);
-  }
-
- private:
-  std::atomic<int> fd_;
-  std::mutex write_mu_;
-};
-
-class UdsListener : public TransportListener {
- public:
-  UdsListener(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  ~UdsListener() override { Close(); }
-
-  StatusOr<std::unique_ptr<Transport>> Accept() override {
-    while (true) {
-      const int fd = fd_.load(std::memory_order_acquire);
-      if (fd < 0) return NotFoundError("listener closed");
-      const int client = ::accept(fd, nullptr, nullptr);
-      if (client >= 0) return std::unique_ptr<Transport>(
-          new FdTransport(client));
-      if (errno == EINTR) continue;
-      return InternalError(std::string("accept failed: ") +
-                           std::strerror(errno));
-    }
-  }
-
-  void Close() override {
-    // shutdown() wakes a blocked Accept (it fails with EINVAL); close()
-    // after the exchange so a concurrent Accept never races the free.
-    const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-      ::unlink(path_.c_str());
-    }
-  }
-
-  const std::string& address() const override { return path_; }
-
- private:
-  std::atomic<int> fd_;
-  std::string path_;
-};
-
-}  // namespace
+}
 
 StatusOr<std::unique_ptr<TransportListener>> ListenUds(
     const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return InvalidArgumentError("socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return InternalError(std::string("socket failed: ") +
-                         std::strerror(errno));
-  }
-  ::unlink(path.c_str());  // stale socket from a crashed coordinator
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(fd);
-    return InternalError("bind " + path + " failed: " + detail);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(fd);
-    ::unlink(path.c_str());
-    return InternalError("listen " + path + " failed: " + detail);
-  }
-  return std::unique_ptr<TransportListener>(new UdsListener(fd, path));
+  StatusOr<int> fd = ListenUnixSocket(path);
+  VPART_RETURN_IF_ERROR(fd.status());
+  return std::make_unique<TransportListener>(*fd, path);
 }
 
 StatusOr<std::unique_ptr<Transport>> ConnectUds(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return InvalidArgumentError("socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return InternalError(std::string("socket failed: ") +
-                         std::strerror(errno));
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(fd);
-    return InternalError("connect " + path + " failed: " + detail);
-  }
-  return std::unique_ptr<Transport>(new FdTransport(fd));
+  StatusOr<int> fd = ConnectUnixSocket(path);
+  VPART_RETURN_IF_ERROR(fd.status());
+  return std::make_unique<Transport>(*fd);
 }
 
 }  // namespace vpart

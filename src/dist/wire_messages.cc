@@ -70,7 +70,6 @@ JsonValue EncodeAdvisorResult(const Instance& instance,
   breakdown.Set("read_access", result.breakdown.read_access);
   breakdown.Set("write_access", result.breakdown.write_access);
   breakdown.Set("transfer", result.breakdown.transfer);
-  breakdown.Set("latency", result.breakdown.latency);
   breakdown.Set("total", result.breakdown.total);
   out.Set("breakdown", std::move(breakdown));
   out.Set("partitioning",
@@ -103,7 +102,6 @@ StatusOr<AdvisorResult> DecodeAdvisorResult(const Instance& instance,
     result.breakdown.read_access = NumberOr(*breakdown, "read_access", 0.0);
     result.breakdown.write_access = NumberOr(*breakdown, "write_access", 0.0);
     result.breakdown.transfer = NumberOr(*breakdown, "transfer", 0.0);
-    result.breakdown.latency = NumberOr(*breakdown, "latency", 0.0);
     result.breakdown.total = NumberOr(*breakdown, "total", 0.0);
   }
   const JsonValue* partitioning = value.Find("partitioning");

@@ -124,10 +124,11 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
     publish(*options.initial_incumbent, "seed");
   }
 
-  // On one thread the heuristic lanes serialize behind the ILP; each is
-  // capped at a quarter of the race budget, and the ILP, which runs first,
-  // at what they leave, so a race the ILP cannot prove still gets their
-  // answers within its budget.
+  // On one thread the heuristic lanes serialize behind the ILP. The ILP,
+  // which runs first, is capped at the race budget less a quarter per
+  // heuristic lane, and the incremental lane at its quarter; SA runs last
+  // and anneals until the race deadline, so it gets at least its quarter
+  // plus whatever the lanes before it left unused.
   const bool lanes_race = lane_threads >= 2;
   const double race_budget = token.SolverBudgetSeconds();
   // 0 means "no slice cap" (the Deadline convention for unlimited).
@@ -140,17 +141,12 @@ StatusOr<PortfolioResult> SolvePortfolio(const CostCoefficients& cost_model,
   // leader and published back, until the deadline or the ILP's proof.
   auto sa_lane = [&]() {
     Stopwatch lane_watch;
-    // Per-lane slice cap under the global token deadline; unlimited when the
-    // lanes genuinely race (heuristic_budget == 0).
-    Deadline lane_deadline = Deadline::After(heuristic_budget);
     Span lane_span("lane:sa", "portfolio");
     PortfolioLane lane;
     lane.name = "sa";
     uint64_t slice_seed = options.seed;
     while (!token.cancelled()) {
-      if (lane_deadline.Expired()) break;
-      const double remaining =
-          token.deadline().RemainingUnder(lane_deadline.RemainingSeconds());
+      const double remaining = token.RemainingSeconds();
       if (remaining < 1e-3) break;
       SaOptions sa;
       sa.seed = slice_seed;

@@ -35,8 +35,9 @@ struct PortfolioOptions {
   /// order ilp, incremental, sa, the first on the caller's thread: with 1
   /// thread all three run in that order on the caller, with 2 the ILP runs
   /// on the caller while the other thread runs incremental, then SA, and
-  /// with 3 or more they all race. With 1 thread each heuristic lane gets
-  /// a quarter of the race budget and the ILP what they leave.
+  /// with 3 or more they all race. With 1 thread the ILP gets the race
+  /// budget less a quarter per heuristic lane, the incremental lane a
+  /// quarter, and SA, which runs last, the rest of the race.
   int num_threads = 0;
   /// Workers inside the ILP lane's branch & bound (MipOptions.num_threads).
   /// 0 derives max(1, num_threads / 2).

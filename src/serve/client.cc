@@ -1,11 +1,7 @@
 #include "serve/client.h"
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "util/wire.h"
@@ -26,25 +22,10 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
 }
 
 StatusOr<ServeClient> ServeClient::Connect(const std::string& socket_path) {
-  sockaddr_un addr{};
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return InvalidArgumentError("bad socket path: " + socket_path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return InternalError(std::string("socket() failed: ") +
-                         std::strerror(errno));
-  }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string detail = std::strerror(errno);
-    ::close(fd);
-    return NotFoundError("connect(" + socket_path + ") failed: " + detail);
-  }
+  StatusOr<int> fd = ConnectUnixSocket(socket_path);
+  VPART_RETURN_IF_ERROR(fd.status());
   ServeClient client;
-  client.fd_ = fd;
+  client.fd_ = *fd;
   return client;
 }
 

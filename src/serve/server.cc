@@ -1,13 +1,11 @@
 #include "serve/server.h"
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "api/advise.h"
@@ -92,40 +90,9 @@ Status AdviseServer::Start() {
   if (started_) {
     return FailedPreconditionError("server already started");
   }
-  if (options_.socket_path.empty()) {
-    return InvalidArgumentError("AdviseServerOptions::socket_path is empty");
-  }
-  sockaddr_un addr{};
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    return InvalidArgumentError("socket path too long for AF_UNIX (max " +
-                                std::to_string(sizeof(addr.sun_path) - 1) +
-                                " bytes)");
-  }
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return InternalError(std::string("socket() failed: ") +
-                         std::strerror(errno));
-  }
-  // A stale socket file from a crashed daemon would make bind fail.
-  ::unlink(options_.socket_path.c_str());
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size());
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return InternalError("bind(" + options_.socket_path +
-                         ") failed: " + detail);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(options_.socket_path.c_str());
-    return InternalError("listen() failed: " + detail);
-  }
+  StatusOr<int> listen_fd = ListenUnixSocket(options_.socket_path);
+  VPART_RETURN_IF_ERROR(listen_fd.status());
+  listen_fd_ = *listen_fd;
   started_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   const int workers = options_.num_workers > 0 ? options_.num_workers : 1;

@@ -7,6 +7,35 @@
 
 namespace vpart {
 
+std::vector<uint8_t> ComputePsi(const Instance& instance,
+                                const Partitioning& partitioning) {
+  std::vector<uint8_t> psi(instance.num_queries(), 0);
+  for (int q = 0; q < instance.num_queries(); ++q) {
+    const Query& query = instance.workload().query(q);
+    if (!query.is_write()) continue;
+    const int home = partitioning.SiteOfTransaction(query.transaction_id);
+    for (int a : query.attributes) {
+      const int replicas = partitioning.ReplicaCount(a);
+      const int local = partitioning.HasAttribute(a, home) ? 1 : 0;
+      if (replicas - local > 0) {
+        psi[q] = 1;
+        break;
+      }
+    }
+  }
+  return psi;
+}
+
+double LatencyCost(const Instance& instance, const Partitioning& partitioning,
+                   double latency_penalty) {
+  const std::vector<uint8_t> psi = ComputePsi(instance, partitioning);
+  double total = 0.0;
+  for (int q = 0; q < instance.num_queries(); ++q) {
+    if (psi[q]) total += instance.workload().query(q).frequency;
+  }
+  return latency_penalty * total;
+}
+
 std::vector<int> AddLatencyToFormulation(const CostCoefficients& cost_model,
                                          double latency_penalty,
                                          IlpFormulation& formulation) {

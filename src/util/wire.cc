@@ -5,6 +5,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace vpart {
@@ -48,6 +49,39 @@ Status ReadAll(int fd, char* data, size_t length, bool* clean_eof) {
     got += static_cast<size_t>(n);
   }
   return Status::Ok();
+}
+
+/// The socket address of `path`, or InvalidArgument when it is empty or
+/// does not fit sun_path.
+StatusOr<sockaddr_un> UnixAddress(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.empty()) return InvalidArgumentError("socket path is empty");
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return InvalidArgumentError(
+        "socket path too long for AF_UNIX (max " +
+        std::to_string(sizeof(addr.sun_path) - 1) + " bytes): " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+/// Closes `fd` and returns InternalError "<call>(<path>) failed: <errno>".
+Status CloseWithError(int fd, const char* call, const std::string& path) {
+  const std::string detail = std::strerror(errno);
+  ::close(fd);
+  return InternalError(std::string(call) + "(" + path + ") failed: " +
+                       detail);
+}
+
+/// A new, unbound Unix domain stream socket.
+StatusOr<int> NewUnixSocket() {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return InternalError(std::string("socket() failed: ") +
+                         std::strerror(errno));
+  }
+  return fd;
 }
 
 }  // namespace
@@ -115,6 +149,36 @@ const char* ServeErrorCodeFor(const Status& status) {
     default:
       return kServeErrInternal;
   }
+}
+
+StatusOr<int> ListenUnixSocket(const std::string& path) {
+  StatusOr<sockaddr_un> addr = UnixAddress(path);
+  VPART_RETURN_IF_ERROR(addr.status());
+  StatusOr<int> fd = NewUnixSocket();
+  VPART_RETURN_IF_ERROR(fd.status());
+  ::unlink(path.c_str());  // a stale socket file would make bind fail
+  if (::bind(*fd, reinterpret_cast<const sockaddr*>(&*addr),
+             sizeof(*addr)) != 0) {
+    return CloseWithError(*fd, "bind", path);
+  }
+  if (::listen(*fd, 64) != 0) {
+    const Status failed = CloseWithError(*fd, "listen", path);
+    ::unlink(path.c_str());
+    return failed;
+  }
+  return fd;
+}
+
+StatusOr<int> ConnectUnixSocket(const std::string& path) {
+  StatusOr<sockaddr_un> addr = UnixAddress(path);
+  VPART_RETURN_IF_ERROR(addr.status());
+  StatusOr<int> fd = NewUnixSocket();
+  VPART_RETURN_IF_ERROR(fd.status());
+  if (::connect(*fd, reinterpret_cast<const sockaddr*>(&*addr),
+                sizeof(*addr)) != 0) {
+    return CloseWithError(*fd, "connect", path);
+  }
+  return fd;
 }
 
 }  // namespace vpart

@@ -64,6 +64,17 @@ JsonValue MakeServeError(const std::string& code, const std::string& message,
 /// invalid_request, deadline -> deadline_exceeded, ... default internal).
 const char* ServeErrorCodeFor(const Status& status);
 
+/// Binds a Unix domain stream socket at `path` and listens on it; a stale
+/// socket file left there by a crashed process is unlinked first. Returns
+/// the listening descriptor. An empty or over-long path is
+/// InvalidArgument; a failing system call is InternalError naming the
+/// path.
+StatusOr<int> ListenUnixSocket(const std::string& path);
+
+/// Connects a Unix domain stream socket to `path` and returns the
+/// descriptor. Errors as ListenUnixSocket's.
+StatusOr<int> ConnectUnixSocket(const std::string& path);
+
 }  // namespace vpart
 
 #endif  // VPART_UTIL_WIRE_H_

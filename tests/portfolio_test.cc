@@ -108,8 +108,9 @@ TEST(PortfolioTest, OneThreadRunsTheLanesInOrderOnTheCaller) {
 
 // One thread serializes the lanes, so the ILP runs first on what the two
 // heuristic quarter-budgets leave. rndAt8x15@3 takes far longer than 1 s
-// to prove, yet a 1 s race still reaches the SA lane and ends near its
-// budget.
+// to prove, yet a 1 s race still reaches the SA lane, which anneals until
+// the race deadline: the race uses its whole budget, not just the lanes'
+// caps.
 TEST(PortfolioTest, OneThreadLeavesTheHeuristicLanesTheirBudget) {
   StatusOr<Instance> instance = MakeNamedRandomInstance("rndAt8x15");
   ASSERT_TRUE(instance.ok());
@@ -128,6 +129,7 @@ TEST(PortfolioTest, OneThreadLeavesTheHeuristicLanesTheirBudget) {
     if (lane.name == "sa") sa_has_solution = lane.has_solution;
   }
   EXPECT_TRUE(sa_has_solution);
+  EXPECT_GE(seconds, 0.95);
   // Generous slack for sanitizer builds on a loaded machine.
   EXPECT_LT(seconds, 3.0);
 }

@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "api/advise.h"
 #include "api/request_json.h"
 #include "instances/tpcc.h"
-#include "solver/sa_solver.h"
 #include "workload/instance.h"
 
 namespace vpart {
@@ -35,33 +34,36 @@ StatusOr<Instance> MakeToyInstance() {
 }
 
 TEST(SolverRegistryTest, BuiltinsAreRegistered) {
-  SolverRegistry& registry = SolverRegistry::Global();
   for (const char* name : {kSolverIlp, kSolverSa, kSolverExhaustive,
                            kSolverIncremental, kSolverPortfolio}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-    auto solver = registry.Create(name);
-    EXPECT_TRUE(solver.ok()) << name;
+    const SolverEntry* entry = FindSolver(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_STREQ(entry->name, name);
   }
-  EXPECT_FALSE(registry.Contains("no-such-solver"));
-  EXPECT_FALSE(registry.Create("no-such-solver").ok());
+  EXPECT_EQ(FindSolver("no-such-solver"), nullptr);
+  EXPECT_EQ(FindSolver(kSolverAuto), nullptr);  // a policy, not a row
+  EXPECT_EQ(SolverNames(),
+            (std::vector<std::string>{kSolverExhaustive, kSolverIlp,
+                                      kSolverIncremental, kSolverPortfolio,
+                                      kSolverSa}));
 }
 
-TEST(SolverRegistryTest, CapabilitiesMatchTheDesign) {
-  SolverRegistry& registry = SolverRegistry::Global();
-  auto ilp = registry.Capabilities(kSolverIlp);
-  ASSERT_TRUE(ilp.ok());
-  EXPECT_TRUE(ilp->exact);
-  EXPECT_TRUE(ilp->latency_penalty);
-  EXPECT_TRUE(ilp->multi_threaded);
-  auto sa = registry.Capabilities(kSolverSa);
-  ASSERT_TRUE(sa.ok());
-  EXPECT_FALSE(sa->exact);
-  EXPECT_FALSE(sa->latency_penalty);
-  auto portfolio = registry.Capabilities(kSolverPortfolio);
-  ASSERT_TRUE(portfolio.ok());
-  EXPECT_TRUE(portfolio->multi_threaded);
-  EXPECT_FALSE(portfolio->latency_penalty);
-  EXPECT_FALSE(portfolio->deterministic);
+// Every row reaches its own solve function: a row wired to the wrong one
+// would still answer, under another solver's label.
+TEST(SolverRegistryTest, EveryTableRowRunsThroughAdvise) {
+  auto instance = MakeToyInstance();
+  ASSERT_TRUE(instance.ok());
+  for (const SolverEntry& entry : kSolvers) {
+    AdviseRequest request;
+    request.solver = entry.name;
+    request.time_limit_seconds = 5.0;
+    auto response = Advise(*instance, request);
+    ASSERT_TRUE(response.ok()) << entry.name << ": "
+                               << response.status().ToString();
+    EXPECT_EQ(response->solver_used, entry.name);
+    EXPECT_EQ(response->result.algorithm_used.rfind(entry.name, 0), 0u)
+        << entry.name << " answered as " << response->result.algorithm_used;
+  }
 }
 
 TEST(SolverRegistryTest, ResolveAutoPicksExhaustiveForTinyInstances) {
@@ -69,8 +71,7 @@ TEST(SolverRegistryTest, ResolveAutoPicksExhaustiveForTinyInstances) {
   ASSERT_TRUE(instance.ok());
   AdviseRequest request;
   std::vector<std::string> warnings;
-  auto resolved =
-      SolverRegistry::Global().Resolve(*instance, request, &warnings);
+  auto resolved = ResolveSolver(*instance, request, &warnings);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(*resolved, kSolverExhaustive);
   EXPECT_TRUE(warnings.empty());
@@ -82,8 +83,7 @@ TEST(SolverRegistryTest, ResolveAutoPicksPortfolioWhenThreadsGranted) {
   AdviseRequest request;
   request.num_threads = 4;
   std::vector<std::string> warnings;
-  auto resolved =
-      SolverRegistry::Global().Resolve(*instance, request, &warnings);
+  auto resolved = ResolveSolver(*instance, request, &warnings);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(*resolved, kSolverPortfolio);
   EXPECT_TRUE(warnings.empty());
@@ -96,11 +96,10 @@ TEST(SolverRegistryTest, ResolveAutoWarnsInsteadOfSilentLatencyDowngrade) {
   request.num_threads = 4;
   request.latency_penalty = 1.0;
   std::vector<std::string> warnings;
-  auto resolved =
-      SolverRegistry::Global().Resolve(*instance, request, &warnings);
+  auto resolved = ResolveSolver(*instance, request, &warnings);
   ASSERT_TRUE(resolved.ok());
-  // The portfolio cannot price the Appendix-A term; the registry must
-  // surface the downgrade and route to the parallel-B&B ILP (which can).
+  // The portfolio cannot price the Appendix-A term; auto must surface the
+  // downgrade and route to the parallel-B&B ILP (which can).
   EXPECT_EQ(*resolved, kSolverIlp);
   ASSERT_FALSE(warnings.empty());
   EXPECT_NE(warnings.front().find("latency_penalty"), std::string::npos);
@@ -114,10 +113,26 @@ TEST(SolverRegistryTest, ResolveWarnsForExplicitSolverIgnoringLatency) {
   request.solver = kSolverSa;
   request.latency_penalty = 2.0;
   std::vector<std::string> warnings;
-  auto resolved =
-      SolverRegistry::Global().Resolve(*instance, request, &warnings);
+  auto resolved = ResolveSolver(*instance, request, &warnings);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(*resolved, kSolverSa);
+  ASSERT_FALSE(warnings.empty());
+  EXPECT_NE(warnings.front().find("does not price"), std::string::npos);
+
+  // The ILP prices the latency term: no warning.
+  request.solver = kSolverIlp;
+  warnings.clear();
+  resolved = ResolveSolver(*instance, request, &warnings);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(*resolved, kSolverIlp);
+  EXPECT_TRUE(warnings.empty());
+
+  // The portfolio races heuristics that do not.
+  request.solver = kSolverPortfolio;
+  warnings.clear();
+  resolved = ResolveSolver(*instance, request, &warnings);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(*resolved, kSolverPortfolio);
   ASSERT_FALSE(warnings.empty());
   EXPECT_NE(warnings.front().find("does not price"), std::string::npos);
 }
@@ -127,63 +142,9 @@ TEST(SolverRegistryTest, ResolveRejectsUnknownSolver) {
   ASSERT_TRUE(instance.ok());
   AdviseRequest request;
   request.solver = "hypergraph";
-  auto resolved =
-      SolverRegistry::Global().Resolve(*instance, request, nullptr);
+  auto resolved = ResolveSolver(*instance, request, nullptr);
   EXPECT_FALSE(resolved.ok());
   EXPECT_EQ(resolved.status().code(), StatusCode::kNotFound);
-}
-
-/// A custom backend: places everything single-site (always feasible).
-class SingleSiteSolver : public Solver {
- public:
-  StatusOr<SolverRun> Solve(const CostCoefficients& cost_model,
-                            const AdviseRequest& request,
-                            const SolveContext& ctx) override {
-    (void)ctx;
-    const Instance& instance = cost_model.instance();
-    Partitioning p(instance.num_transactions(), instance.num_attributes(),
-                   request.num_sites);
-    for (int t = 0; t < instance.num_transactions(); ++t) {
-      p.AssignTransaction(t, 0);
-    }
-    ComputeOptimalY(cost_model, p, request.allow_replication);
-    SolverRun run;
-    run.partitioning = std::move(p);
-    run.algorithm = "single-site";
-    return run;
-  }
-};
-
-TEST(SolverRegistryTest, CustomSolverPlugsIntoAdvise) {
-  SolverRegistry& registry = SolverRegistry::Global();
-  SolverCapabilities capabilities;
-  ASSERT_TRUE(registry
-                  .Register("single-site", capabilities,
-                            []() { return std::make_unique<SingleSiteSolver>(); })
-                  .ok());
-  // Duplicate registration must fail loudly.
-  EXPECT_EQ(registry
-                .Register("single-site", capabilities,
-                          []() { return std::make_unique<SingleSiteSolver>(); })
-                .code(),
-            StatusCode::kAlreadyExists);
-
-  auto instance = MakeToyInstance();
-  ASSERT_TRUE(instance.ok());
-  AdviseRequest request;
-  request.solver = "single-site";
-  auto response = Advise(*instance, request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->solver_used, "single-site");
-  EXPECT_NE(response->result.algorithm_used.find("single-site"),
-            std::string::npos);
-  // Everything on site 0: the recommendation equals the baseline.
-  EXPECT_DOUBLE_EQ(response->result.cost, response->result.single_site_cost);
-
-  ASSERT_TRUE(registry.Unregister("single-site").ok());
-  EXPECT_FALSE(registry.Contains("single-site"));
-  EXPECT_EQ(registry.Unregister("single-site").code(),
-            StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/client.h"
 #include "serve/server.h"
 #include "util/string_util.h"
 
@@ -59,7 +58,6 @@ struct CliArgs {
   std::string metrics_path;  // --metrics: Prometheus text dump
   std::string obs_text;      // --obs: overrides the request's "obs" key
   std::string serve_path;    // --serve: run as a daemon on this socket
-  std::string connect_path;  // --connect: send the request to a daemon
   std::string worker_path;   // --worker: join a coordinator on this socket
   std::string socket_path;   // --socket: coordinator socket override
   int workers = 2;           // --workers: daemon/coordinator solve workers
@@ -94,8 +92,6 @@ void PrintHelp() {
       "                        and cross-request warm starts. Stop with\n"
       "                        SIGINT/SIGTERM. See also vpart_client.\n"
       "  --workers <n>         daemon/coordinator solve workers (default 2)\n"
-      "  --connect <socket>    send the request to a running daemon and\n"
-      "                        print its response (one round trip)\n"
       "  --coordinator         advise a \"batch\": true request\n"
       "                        distributed: spawn --workers worker\n"
       "                        processes over a Unix socket and farm the\n"
@@ -151,7 +147,7 @@ void PrintHelp() {
       "\"lp\" as they accumulate, each stamped with a monotonic \"seq\".\n"
       "Unless obs is \"off\", telemetry.metrics and telemetry.trace_summary\n"
       "carry the process metrics snapshot and per-span aggregates.\n",
-      JoinStrings(SolverRegistry::Global().Names(), ", ").c_str(),
+      JoinStrings(SolverNames(), ", ").c_str(),
       JoinStrings(CostModelRegistry::Global().Names(), ", ").c_str());
 }
 
@@ -259,25 +255,6 @@ int RunServer(const CliArgs& args) {
                stats.lookups, stats.exact_hits, stats.shape_hits,
                stats.misses);
   return DumpObsFiles(args);
-}
-
-/// --connect: one request round trip against a running daemon.
-int RunConnect(const CliArgs& args, const std::string& request_text) {
-  StatusOr<ServeClient> client = ServeClient::Connect(args.connect_path);
-  if (!client.ok()) {
-    std::fprintf(stderr, "cannot connect: %s\n",
-                 client.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<std::string> response = client->Roundtrip(request_text);
-  if (!response.ok()) {
-    std::fprintf(stderr, "round trip failed: %s\n",
-                 response.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", response->c_str());
-  StatusOr<JsonValue> doc = JsonValue::Parse(*response);
-  return doc.ok() && doc->Find("error") != nullptr ? 1 : 0;
 }
 
 /// --worker: serve one coordinator until it says shutdown. Exit code 0 on
@@ -445,8 +422,6 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
       if (!next_value("--obs", &args.obs_text)) return false;
     } else if (std::strcmp(arg, "--serve") == 0) {
       if (!next_value("--serve", &args.serve_path)) return false;
-    } else if (std::strcmp(arg, "--connect") == 0) {
-      if (!next_value("--connect", &args.connect_path)) return false;
     } else if (std::strcmp(arg, "--worker") == 0) {
       if (!next_value("--worker", &args.worker_path)) return false;
     } else if (std::strcmp(arg, "--socket") == 0) {
@@ -509,9 +484,6 @@ int main(int argc, char** argv) {
     }
     request_text = ReadAll(in);
     std::fclose(in);
-  }
-  if (!args.connect_path.empty()) {
-    return RunConnect(args, request_text);
   }
   if (args.coordinator) {
     return RunCoordinator(args, request_text);
