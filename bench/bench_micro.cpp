@@ -4,8 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "api/advise.h"
 #include "bench_util.h"
 #include "cost/cost_model.h"
+#include "engine/batch_advisor.h"
 #include "lp/simplex.h"
 #include "solver/formulation.h"
 #include "util/rng.h"
@@ -83,6 +85,19 @@ void BM_ComputeOptimalY(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeOptimalY)->Arg(0)->Arg(1);
 
+void BM_ComputeOptimalX(benchmark::State& state) {
+  const Instance& instance = state.range(0) == 0 ? Tpcc() : BigRandom();
+  CostModel model(&instance, {.p = 8, .lambda = 0.1});
+  const Partitioning start = RandomPartitioning(instance, 3, 42);
+  Partitioning p = start;
+  for (auto _ : state) {
+    p = start;  // re-derive x from the same y every time
+    ComputeOptimalX(model, p);
+    benchmark::DoNotOptimize(p.SiteOfTransaction(0));
+  }
+}
+BENCHMARK(BM_ComputeOptimalX)->Arg(0)->Arg(1);
+
 void BM_SaAnnealTpcc(benchmark::State& state) {
   const Instance& instance = Tpcc();
   CostModel model(&instance, {.p = 8, .lambda = 0.1});
@@ -95,6 +110,28 @@ void BM_SaAnnealTpcc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SaAnnealTpcc)->Unit(benchmark::kMillisecond);
+
+// One per-table solve of perfbench `batch`: the first table of a Table-1
+// 100x100 schema after §4 grouping, annealed at 3 sites with a request's
+// default SA settings (seed, restarts, replication; no time limit).
+void BM_SaAnnealBatchTable(benchmark::State& state) {
+  static const Instance* table = [] {
+    StatusOr<std::vector<TableSubinstance>> tables =
+        SplitInstanceByTable(MakeRandomInstance(Table1DefaultParams(100, 1)));
+    auto grouping = BuildAttributeGrouping(tables->front().instance);
+    return new Instance(grouping->reduced);
+  }();
+  const AdviseRequest defaults;
+  CostModel model(table, defaults.cost);
+  SaOptions options;
+  options.seed = defaults.seed;
+  options.max_restarts = defaults.sa.max_restarts;
+  options.allow_replication = defaults.allow_replication;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SolveWithSa(model, 3, options).cost);
+  }
+}
+BENCHMARK(BM_SaAnnealBatchTable)->Unit(benchmark::kMillisecond);
 
 void BM_SimplexTpccRootLp(benchmark::State& state) {
   Instance& instance = Tpcc();

@@ -68,6 +68,13 @@ const char* AdviseOutcomeName(AdviseOutcome outcome) {
   return "unknown";
 }
 
+Status CheckThreadCount(const std::string& name, int count) {
+  if (count >= 0 && count <= kMaxRequestThreads) return Status::Ok();
+  return InvalidArgumentError(StrFormat("%s must be in [0, %d] (got %d)",
+                                        name.c_str(), kMaxRequestThreads,
+                                        count));
+}
+
 namespace {
 
 AdviseHooks DeadlineHooks(const AdviseRequest& request) {
@@ -86,9 +93,9 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
   if (request.num_sites < 1) {
     return InvalidArgumentError("num_sites must be >= 1");
   }
-  if (request.num_threads < 0) {
-    return InvalidArgumentError("num_threads must be >= 0");
-  }
+  VPART_RETURN_IF_ERROR(CheckThreadCount("num_threads", request.num_threads));
+  VPART_RETURN_IF_ERROR(
+      CheckThreadCount("ilp.bnb_threads", request.ilp.bnb_threads));
   Stopwatch watch;
   AdviseResponse response;
 

@@ -218,6 +218,17 @@ struct AdviseHooks {
   const std::atomic<bool>* user_cancelled = nullptr;
 };
 
+/// Upper bound on every thread count a request names: `num_threads`,
+/// `ilp.bnb_threads` and a batch's `table_threads`. Admission (the JSON
+/// parser, Advise and AdviseSchema) rejects a count outside
+/// [0, kMaxRequestThreads] before anything solves, so one request cannot
+/// make the process start an arbitrary number of threads.
+constexpr int kMaxRequestThreads = 256;
+
+/// Ok when `count` is in [0, kMaxRequestThreads]; otherwise an
+/// InvalidArgument error naming `name`.
+Status CheckThreadCount(const std::string& name, int count);
+
 /// Synchronous advise: resolves the solver, applies attribute grouping,
 /// solves, validates, and prices the result. The blocking core that
 /// AdviseSession runs on a background thread.

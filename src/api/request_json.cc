@@ -333,9 +333,10 @@ StatusOr<CliRequest> ParseCliRequest(const std::string& json_text) {
   if (request.num_sites < 1) {
     return InvalidArgumentError("\"num_sites\" must be >= 1");
   }
-  if (request.num_threads < 0) {
-    return InvalidArgumentError("\"num_threads\" must be >= 0");
-  }
+  VPART_RETURN_IF_ERROR(
+      CheckThreadCount("\"num_threads\"", request.num_threads));
+  VPART_RETURN_IF_ERROR(
+      CheckThreadCount("\"ilp.bnb_threads\"", request.ilp.bnb_threads));
   if (request.solver != kSolverAuto && FindSolver(request.solver) == nullptr) {
     return InvalidArgumentError(
         "unknown solver \"" + request.solver + "\" (available: auto, " +

@@ -51,6 +51,7 @@ namespace vpart {
 ///   }
 ///
 /// Only "instance" is required; everything else defaults as above.
+/// "num_threads" and "ilp.bnb_threads" must lie in [0, kMaxRequestThreads].
 
 /// Admission class for daemon-mode requests: interactive requests are
 /// dequeued ahead of batch ones when the worker pool is contended.

@@ -30,7 +30,31 @@ CostCoefficients::CostCoefficients(const CostCoefficients& other,
       c1_(other.c1_),
       c2_(other.c2_),
       c3_(other.c3_),
-      c4_(other.c4_) {}
+      c4_(other.c4_),
+      attribute_words_(other.attribute_words_),
+      touched_bits_(other.touched_bits_),
+      read_bits_(other.read_bits_) {}
+
+void CostCoefficients::BuildAttributeBitsets() {
+  const int num_t = instance_->num_transactions();
+  attribute_words_ = (instance_->num_attributes() + 63) / 64;
+  touched_bits_.assign(static_cast<size_t>(num_t) * attribute_words_, 0);
+  read_bits_.assign(static_cast<size_t>(num_t) * attribute_words_, 0);
+  for (int t = 0; t < num_t; ++t) {
+    const size_t row = static_cast<size_t>(t) * attribute_words_;
+    for (int a : instance_->TouchedAttributesOfTransaction(t)) {
+      touched_bits_[row + a / 64] |= uint64_t{1} << (a % 64);
+    }
+    for (int a : instance_->ReadSetOfTransaction(t)) {
+      read_bits_[row + a / 64] |= uint64_t{1} << (a % 64);
+    }
+  }
+}
+
+// The kernels below walk the set bits of TouchedBits(t) ∩ the site's y in
+// ascending attribute order: the terms a loop over the sorted
+// TouchedAttributesOfTransaction(t) testing HasAttribute would add, in its
+// order, with the absent attributes skipped.
 
 double CostCoefficients::Objective(const Partitioning& partitioning) const {
   const int num_a = instance_->num_attributes();
@@ -39,9 +63,9 @@ double CostCoefficients::Objective(const Partitioning& partitioning) const {
   for (int t = 0; t < num_t; ++t) {
     const int s = partitioning.SiteOfTransaction(t);
     assert(s >= 0 && s < partitioning.num_sites());
-    for (int a : instance_->TouchedAttributesOfTransaction(t)) {
-      if (partitioning.HasAttribute(a, s)) objective += c1_[IdxTA(t, a)];
-    }
+    const double* c1 = c1_.data() + IdxTA(t, 0);
+    ForEachCommonBit(TouchedBits(t), partitioning.SiteWords(s),
+                     attribute_words_, [&](int a) { objective += c1[a]; });
   }
   for (int a = 0; a < num_a; ++a) {
     if (c2_[a] != 0.0) objective += c2_[a] * partitioning.ReplicaCount(a);
@@ -88,15 +112,18 @@ CostBreakdown CostCoefficients::Breakdown(
 
 double CostCoefficients::SiteLoad(const Partitioning& partitioning,
                                   int s) const {
+  const uint64_t* placed = partitioning.SiteWords(s);
   double load = 0.0;
   for (int t = 0; t < instance_->num_transactions(); ++t) {
     if (partitioning.SiteOfTransaction(t) != s) continue;
-    for (int a : instance_->TouchedAttributesOfTransaction(t)) {
-      if (partitioning.HasAttribute(a, s)) load += c3_[IdxTA(t, a)];
-    }
+    const double* c3 = c3_.data() + IdxTA(t, 0);
+    ForEachCommonBit(TouchedBits(t), placed, attribute_words_,
+                     [&](int a) { load += c3[a]; });
   }
+  // Adding +0.0 where a is absent (or c4 is zero) leaves the load exact:
+  // it starts at +0.0, so it is never −0.0.
   for (int a = 0; a < instance_->num_attributes(); ++a) {
-    if (c4_[a] != 0.0 && partitioning.HasAttribute(a, s)) load += c4_[a];
+    load += partitioning.HasAttribute(a, s) ? c4_[a] : 0.0;
   }
   return load;
 }
@@ -132,43 +159,29 @@ double CostCoefficients::ScalarizedObjective(
   for (int t = 0; t < num_t; ++t) {
     const int s = partitioning.SiteOfTransaction(t);
     assert(s >= 0 && s < num_s);
-    for (int a : instance_->TouchedAttributesOfTransaction(t)) {
-      if (partitioning.HasAttribute(a, s)) {
-        objective += c1_[IdxTA(t, a)];
-        loads[s] += c3_[IdxTA(t, a)];
-      }
-    }
+    const double* c1 = c1_.data() + IdxTA(t, 0);
+    const double* c3 = c3_.data() + IdxTA(t, 0);
+    double load = loads[s];
+    ForEachCommonBit(TouchedBits(t), partitioning.SiteWords(s),
+                     attribute_words_, [&](int a) {
+                       objective += c1[a];
+                       load += c3[a];
+                     });
+    loads[s] = load;
   }
   for (int a = 0; a < num_a; ++a) {
+    const double c4 = c4_[a];
     int replicas = 0;
     for (int s = 0; s < num_s; ++s) {
-      if (!partitioning.HasAttribute(a, s)) continue;
-      ++replicas;
-      if (c4_[a] != 0.0) loads[s] += c4_[a];
+      const bool placed = partitioning.HasAttribute(a, s);
+      replicas += placed;
+      loads[s] += placed ? c4 : 0.0;  // +0.0 is exact, as in SiteLoad()
     }
     if (c2_[a] != 0.0) objective += c2_[a] * replicas;
   }
   double max_load = 0.0;
   for (int s = 0; s < num_s; ++s) max_load = std::max(max_load, loads[s]);
   return (1.0 - params_.lambda) * objective + params_.lambda * max_load;
-}
-
-double CostCoefficients::TransactionOnSiteCost(const Partitioning& partitioning,
-                                               int t, int s) const {
-  double cost = 0.0;
-  for (int a : instance_->TouchedAttributesOfTransaction(t)) {
-    if (partitioning.HasAttribute(a, s)) cost += c1_[IdxTA(t, a)];
-  }
-  return cost;
-}
-
-double CostCoefficients::AttributeOnSiteCost(const Partitioning& partitioning,
-                                             int a, int s) const {
-  double cost = c2_[a];
-  for (int t = 0; t < instance_->num_transactions(); ++t) {
-    if (partitioning.SiteOfTransaction(t) == s) cost += c1_[IdxTA(t, a)];
-  }
-  return cost;
 }
 
 }  // namespace vpart

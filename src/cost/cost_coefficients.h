@@ -1,11 +1,13 @@
 #ifndef VPART_COST_COST_COEFFICIENTS_H_
 #define VPART_COST_COST_COEFFICIENTS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cost/partitioning.h"
+#include "util/bitset.h"
 #include "workload/instance.h"
 
 namespace vpart {
@@ -47,7 +49,7 @@ std::shared_ptr<const Instance> BorrowInstance(const Instance& instance);
 /// The cost-model contract every solver consumes: precomputed objective
 /// coefficients c1..c4 in the shape of the paper's eq. (4)/(5) plus the
 /// evaluation surface (Objective/Breakdown/ScalarizedObjective, SiteLoad
-/// and the marginal helpers the heuristics use), all driven by the tables.
+/// and the marginal helper the heuristics use), all driven by the tables.
 /// Backends differ only in the *physics* behind the coefficients — how
 /// many storage-layer units query q pays per touched attribute a, and how
 /// many units a remote replica costs on the wire — which they supply
@@ -109,15 +111,30 @@ class CostCoefficients {
 
   /// Σ_a c1(a,t)·y[a][s]: cost contribution of placing transaction t on s
   /// given the attribute placement in `partitioning`. Used by the SA solver
-  /// and the incremental solver's greedy fold-in.
+  /// and the incremental solver's greedy fold-in. Walks the set bits of
+  /// t's touched attributes on s in ascending order, so it adds the
+  /// terms a loop over TouchedAttributesOfTransaction(t) would, in its
+  /// order.
   double TransactionOnSiteCost(const Partitioning& partitioning, int t,
-                               int s) const;
+                               int s) const {
+    const double* c1 = c1_.data() + IdxTA(t, 0);
+    double cost = 0.0;
+    ForEachCommonBit(TouchedBits(t), partitioning.SiteWords(s),
+                     attribute_words_, [&](int a) { cost += c1[a]; });
+    return cost;
+  }
 
-  /// Objective-(4) delta coefficient of adding a replica of attribute a on
-  /// site s: c2(a) + Σ_{t on s} c1(a,t). Negative values mean replication
-  /// pays for itself (transfer saved exceeds write amplification).
-  double AttributeOnSiteCost(const Partitioning& partitioning, int a,
-                             int s) const;
+  /// Transaction t's TouchedAttributesOfTransaction and
+  /// ReadSetOfTransaction as attribute bitsets of attribute_words() words,
+  /// laid out as one site of Partitioning's y (bit a % 64 of word a / 64).
+  /// Built with the coefficients, so they live as long as the model.
+  int attribute_words() const { return attribute_words_; }
+  const uint64_t* TouchedBits(int t) const {
+    return touched_bits_.data() + static_cast<size_t>(t) * attribute_words_;
+  }
+  const uint64_t* ReadBits(int t) const {
+    return read_bits_.data() + static_cast<size_t>(t) * attribute_words_;
+  }
 
   /// Units shipped per remote replica when write query q updates its
   /// referenced attribute a — the α-side physics. Only the cold paths use
@@ -173,6 +190,7 @@ class CostCoefficients {
   void Precompute(AccessFn access, TransferFn transfer) {
     const int num_a = instance_->num_attributes();
     const int num_t = instance_->num_transactions();
+    BuildAttributeBitsets();
     c1_.assign(static_cast<size_t>(num_t) * num_a, 0.0);
     c2_.assign(num_a, 0.0);
     c3_.assign(static_cast<size_t>(num_t) * num_a, 0.0);
@@ -227,6 +245,9 @@ class CostCoefficients {
   }
 
  private:
+  /// Fills touched_bits_ and read_bits_ from the instance's sets.
+  void BuildAttributeBitsets();
+
   std::shared_ptr<const Instance> instance_;
   CostParams params_;
   std::string backend_;
@@ -234,6 +255,9 @@ class CostCoefficients {
   std::vector<double> c2_;  // |A|
   std::vector<double> c3_;  // |T| x |A|
   std::vector<double> c4_;  // |A|
+  int attribute_words_ = 0;              // ⌈|A| / 64⌉
+  std::vector<uint64_t> touched_bits_;  // |T| x attribute_words_
+  std::vector<uint64_t> read_bits_;     // |T| x attribute_words_
 };
 
 }  // namespace vpart

@@ -11,19 +11,20 @@ Partitioning::Partitioning(int num_transactions, int num_attributes,
     : num_transactions_(num_transactions),
       num_attributes_(num_attributes),
       num_sites_(num_sites),
+      site_words_((num_attributes + 63) / 64),
       x_(num_transactions, -1),
-      y_(static_cast<size_t>(num_attributes) * num_sites, 0) {}
+      y_(static_cast<size_t>(num_sites) * site_words_, 0) {}
 
 int Partitioning::ReplicaCount(int a) const {
   int count = 0;
-  for (int s = 0; s < num_sites_; ++s) count += y_[Idx(a, s)];
+  for (int s = 0; s < num_sites_; ++s) count += HasAttribute(a, s);
   return count;
 }
 
 std::vector<int> Partitioning::SitesOfAttribute(int a) const {
   std::vector<int> sites;
   for (int s = 0; s < num_sites_; ++s) {
-    if (y_[Idx(a, s)]) sites.push_back(s);
+    if (HasAttribute(a, s)) sites.push_back(s);
   }
   return sites;
 }
@@ -39,7 +40,7 @@ std::vector<int> Partitioning::TransactionsOnSite(int s) const {
 std::vector<int> Partitioning::AttributesOnSite(int s) const {
   std::vector<int> attrs;
   for (int a = 0; a < num_attributes_; ++a) {
-    if (y_[Idx(a, s)]) attrs.push_back(a);
+    if (HasAttribute(a, s)) attrs.push_back(a);
   }
   return attrs;
 }
@@ -80,27 +81,40 @@ void Partitioning::UnpackAssignment(int site_bits, const uint64_t* in) {
   }
 }
 
+// Site s's bitset packs from bit s·|A| on, so all its words share one
+// shift; a word that straddles two packed words spills its high bits into
+// the next one, and past the last packed word those bits are the zero
+// padding.
+
 void Partitioning::PackPlacement(uint64_t* out) const {
-  const uint8_t* y = y_.data();
-  const size_t bits = y_.size();
-  for (size_t b = 0; b < bits; b += 64) {
-    const size_t end = std::min(bits, b + 64);
-    uint64_t word = 0;
-    for (size_t i = b; i < end; ++i) {
-      word |= static_cast<uint64_t>(y[i]) << (i - b);
+  const size_t words = PlacementWords(num_attributes_, num_sites_);
+  std::fill(out, out + words, 0);
+  const uint64_t* y = y_.data();
+  size_t first = 0;  // s·|A|
+  for (int s = 0; s < num_sites_; ++s, first += num_attributes_) {
+    const size_t shift = first % 64;
+    size_t at = first / 64;
+    for (int w = 0; w < site_words_; ++w, ++at) {
+      const uint64_t word = *y++;
+      out[at] |= word << shift;
+      if (shift != 0 && at + 1 < words) out[at + 1] |= word >> (64 - shift);
     }
-    *out++ = word;
   }
 }
 
 void Partitioning::UnpackPlacement(const uint64_t* in) {
-  uint8_t* y = y_.data();
-  const size_t bits = y_.size();
-  for (size_t b = 0; b < bits; b += 64) {
-    const size_t end = std::min(bits, b + 64);
-    const uint64_t word = *in++;
-    for (size_t i = b; i < end; ++i) {
-      y[i] = static_cast<uint8_t>((word >> (i - b)) & 1);
+  const size_t words = PlacementWords(num_attributes_, num_sites_);
+  uint64_t* y = y_.data();
+  size_t first = 0;  // s·|A|
+  for (int s = 0; s < num_sites_; ++s, first += num_attributes_) {
+    const size_t shift = first % 64;
+    size_t at = first / 64;
+    for (int w = 0; w < site_words_; ++w, ++at) {
+      uint64_t word = in[at] >> shift;
+      if (shift != 0 && at + 1 < words) word |= in[at + 1] << (64 - shift);
+      const int valid = num_attributes_ - w * 64;
+      if (valid < 64) word &= (uint64_t{1} << valid) - 1;
+      *y++ = word;
     }
   }
 }

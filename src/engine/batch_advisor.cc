@@ -105,6 +105,10 @@ StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
   if (request.num_sites < 1) {
     return InvalidArgumentError("num_sites must be >= 1");
   }
+  VPART_RETURN_IF_ERROR(CheckThreadCount("num_threads", request.num_threads));
+  VPART_RETURN_IF_ERROR(
+      CheckThreadCount("ilp.bnb_threads", request.ilp.bnb_threads));
+  VPART_RETURN_IF_ERROR(CheckThreadCount("table_threads", batch.table_threads));
   Stopwatch watch;
   ScopedObsLevel scoped_obs(request.obs);
   Span batch_span("batch_advise", "batch");

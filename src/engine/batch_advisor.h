@@ -42,7 +42,8 @@ StatusOr<std::vector<TableSubinstance>> SplitInstanceByTable(
 /// and huge).
 struct BatchAdviseRequest {
   AdviseRequest request;
-  /// Tables advised concurrently; 0 = DefaultThreadCount().
+  /// Tables advised concurrently; 0 = DefaultThreadCount(). At most
+  /// kMaxRequestThreads.
   int table_threads = 0;
 };
 

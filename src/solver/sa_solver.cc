@@ -7,8 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/bitset.h"
 #include "util/deadline.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace vpart {
@@ -25,33 +26,38 @@ bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
   const int num_a = instance.num_attributes();
   const int num_s = p.num_sites();
   const int num_t = instance.num_transactions();
+  const int words = cost_model.attribute_words();
 
-  // κ(a,s) = c2(a) + Σ_{t on s} c1(a,t).
+  // κ(a,s) = c2(a) + Σ_{t on s} c1(a,t), and site s's forced set, the
+  // union of the read sets of the transactions on s.
   std::vector<double>& kappa = workspace.kappa;
   kappa.resize(static_cast<size_t>(num_a) * num_s);
   for (int a = 0; a < num_a; ++a) {
     const double c2 = cost_model.c2(a);
     for (int s = 0; s < num_s; ++s) kappa[a * num_s + s] = c2;
   }
-  std::vector<uint8_t>& forced = workspace.forced;
-  forced.assign(static_cast<size_t>(num_a) * num_s, 0);
+  std::vector<uint64_t>& forced = workspace.forced;
+  forced.assign(static_cast<size_t>(num_s) * words, 0);
   for (int t = 0; t < num_t; ++t) {
     const int s = p.SiteOfTransaction(t);
     assert(s >= 0 && s < num_s);
     for (int a : instance.TouchedAttributesOfTransaction(t)) {
       kappa[a * num_s + s] += cost_model.c1(a, t);
     }
-    for (int a : instance.ReadSetOfTransaction(t)) {
-      forced[a * num_s + s] = 1;
-    }
+    const uint64_t* reads = cost_model.ReadBits(t);
+    uint64_t* site_forced = &forced[static_cast<size_t>(s) * words];
+    for (int w = 0; w < words; ++w) site_forced[w] |= reads[w];
   }
+  const auto is_forced = [&](int a, int s) {
+    return (forced[static_cast<size_t>(s) * words + a / 64] >> (a % 64)) & 1;
+  };
 
+  p.ClearPlacement();
   for (int a = 0; a < num_a; ++a) {
-    p.ClearAttribute(a);
     int placed = 0;
     int forced_count = 0;
     for (int s = 0; s < num_s; ++s) {
-      if (forced[a * num_s + s]) {
+      if (is_forced(a, s)) {
         p.PlaceAttribute(a, s);
         ++placed;
         ++forced_count;
@@ -70,7 +76,7 @@ bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
     }
     // Replication pays for itself wherever κ < 0.
     for (int s = 0; s < num_s; ++s) {
-      if (!forced[a * num_s + s] && kappa[a * num_s + s] < 0.0) {
+      if (!is_forced(a, s) && kappa[a * num_s + s] < 0.0) {
         p.PlaceAttribute(a, s);
         ++placed;
       }
@@ -90,20 +96,15 @@ bool ComputeOptimalX(const CostCoefficients& cost_model, Partitioning& p,
                      bool allow_replication) {
   const Instance& instance = cost_model.instance();
   const int num_s = p.num_sites();
+  const int words = cost_model.attribute_words();
 
   for (int t = 0; t < instance.num_transactions(); ++t) {
     const std::vector<int>& reads = instance.ReadSetOfTransaction(t);
+    const uint64_t* read_bits = cost_model.ReadBits(t);
     int best_site = -1;
     double best_cost = 0.0;
     for (int s = 0; s < num_s; ++s) {
-      bool covered = true;
-      for (int a : reads) {
-        if (!p.HasAttribute(a, s)) {
-          covered = false;
-          break;
-        }
-      }
-      if (!covered) continue;
+      if (!IsSubset(read_bits, p.SiteWords(s), words)) continue;  // uncovered
       const double cost = cost_model.TransactionOnSiteCost(p, t, s);
       if (best_site < 0 || cost < best_cost) {
         best_site = s;
@@ -248,7 +249,8 @@ class FindSolutionMemo {
 /// for x, |A|·|S| ≤ 64 for y.
 struct AnnealWorkspace {
   AnnealWorkspace(int num_t, int num_a, int num_sites)
-      : site_bits(SiteBits(num_sites)),
+      : sample(std::max(num_t, num_a)),
+        site_bits(SiteBits(num_sites)),
         x_words(Partitioning::AssignmentWords(num_t, site_bits)) {
     const int y_words = Partitioning::PlacementWords(num_a, num_sites);
     if (x_words == 1) x_memo.Engage(y_words);
@@ -257,7 +259,7 @@ struct AnnealWorkspace {
 
   OptimalYWorkspace optimal_y;
   Partitioning candidate;
-  std::vector<int> sample;  // neighbourhood indices
+  std::vector<int> sample;  // neighbourhood draws: max(|T|, |A|) ints
   std::vector<int> absent;  // sites lacking a sampled attribute
   int site_bits;  // packed x: bits per transaction
   int x_words;    // packed x: words
@@ -379,19 +381,21 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
         break;
       }
       candidate = current;  // copy-assign: reuses the candidate's buffers
+      int* sample = ws.sample.data();
 
       // Neighborhood of x: move ~10% of transactions to random sites.
       if (num_sites > 1) {
-        rng.SampleWithoutReplacement(num_t, txn_moves, ws.sample);
-        for (int idx : ws.sample) {
+        rng.SampleWithoutReplacement(num_t, txn_moves, sample);
+        for (int m = 0; m < txn_moves; ++m) {
           candidate.AssignTransaction(
-              idx, static_cast<int>(rng.NextBounded(num_sites)));
+              sample[m], static_cast<int>(rng.NextBounded(num_sites)));
         }
       }
       // Neighborhood of y: extend replication of ~10% of attributes.
       if (options.allow_replication && num_sites > 1) {
-        rng.SampleWithoutReplacement(num_a, attr_moves, ws.sample);
-        for (int idx : ws.sample) {
+        rng.SampleWithoutReplacement(num_a, attr_moves, sample);
+        for (int m = 0; m < attr_moves; ++m) {
+          const int idx = sample[m];
           ws.absent.clear();
           for (int s = 0; s < num_sites; ++s) {
             if (!candidate.HasAttribute(idx, s)) ws.absent.push_back(s);

@@ -18,7 +18,8 @@ namespace vpart {
 /// replica, and otherwise takes the cheapest single site.
 ///
 /// With `allow_replication == false` an attribute whose readers span
-/// multiple sites makes the x assignment infeasible; returns false then.
+/// multiple sites makes the x assignment infeasible; returns false then,
+/// leaving y partly derived.
 bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
                      bool allow_replication = true);
 
@@ -28,8 +29,8 @@ bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
 /// It holds no state between calls, but two concurrent calls must not
 /// share one: each solve owns its own.
 struct OptimalYWorkspace {
-  std::vector<double> kappa;    // κ(a,s), attribute-major
-  std::vector<uint8_t> forced;  // 1 where a reader of a runs on s
+  std::vector<double> kappa;     // κ(a,s), attribute-major
+  std::vector<uint64_t> forced;  // per site: the attributes its readers read
 };
 
 /// ComputeOptimalY on the caller's workspace; same result.

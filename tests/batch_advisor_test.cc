@@ -169,6 +169,30 @@ TEST(BatchAdvisorTest, PerTableProofsRollUpToTheCombinedFlag) {
   EXPECT_TRUE(advised->combined.proven_optimal);
 }
 
+// AdviseSchema bounds its table lanes and the per-table request's thread
+// counts before it splits the schema, so none of these starts a thread
+// (SA per table, so a missing request check would start none either).
+TEST(BatchAdvisorTest, RejectsThreadCountsOutsideTheBound) {
+  Instance tpcc = MakeTpccInstance();
+  for (int count : {1000000, -1}) {
+    for (const char* key : {"table_threads", "num_threads", "bnb_threads"}) {
+      BatchAdviseRequest batch;
+      batch.request.solver = kSolverSa;
+      batch.request.time_limit_seconds = 1;
+      batch.table_threads = 1;
+      const std::string name = key;
+      if (name == "table_threads") batch.table_threads = count;
+      if (name == "num_threads") batch.request.num_threads = count;
+      if (name == "bnb_threads") batch.request.ilp.bnb_threads = count;
+      StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, batch);
+      ASSERT_FALSE(advised.ok()) << key << " " << count;
+      EXPECT_EQ(advised.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(advised.status().message().find(name), std::string::npos)
+          << advised.status().ToString();
+    }
+  }
+}
+
 TEST(BatchAdvisorTest, RejectsBadSiteCount) {
   Instance tpcc = MakeTpccInstance();
   BatchAdviseRequest batch;

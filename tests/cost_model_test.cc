@@ -138,10 +138,6 @@ TEST_F(CostModelFixture, TransactionAndAttributeMarginals) {
   EXPECT_DOUBLE_EQ(model.TransactionOnSiteCost(p, t1_, 0), 12);
   // T1 on site 1 sees y and z: 8 - 96 = -88.
   EXPECT_DOUBLE_EQ(model.TransactionOnSiteCost(p, t1_, 1), -88);
-  // Marginal cost of a z replica on site 0 (hosts T0): c2 + c1(z,T0) = 110.
-  EXPECT_DOUBLE_EQ(model.AttributeOnSiteCost(p, z_, 0), 110);
-  // On site 1 (hosts T1): 110 - 96 = 14.
-  EXPECT_DOUBLE_EQ(model.AttributeOnSiteCost(p, z_, 1), 14);
 }
 
 // Property: Objective() (c1/c2 form) and Breakdown().total (A_R+A_W+pB form)

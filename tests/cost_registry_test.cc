@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "api/advise.h"
 #include "api/request_json.h"
@@ -187,6 +190,286 @@ TEST(CostBackendPropertyTest, OnePassScalarizedObjectiveIsExact) {
                         lambda * model->MaxLoad(p))
               << backend << " λ " << lambda << " sites " << sites
               << " trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Set-bit kernels against the attribute loops they replaced
+// ---------------------------------------------------------------------------
+
+// The per-attribute kernels as they were before y became per-site
+// bitsets: each tests HasAttribute for every touched (or read) attribute
+// in ascending order. The set-bit walks must add the same terms in the
+// same order, so they match these bit for bit.
+namespace attribute_loop {
+
+double TransactionOnSiteCost(const CostCoefficients& m, const Partitioning& p,
+                             int t, int s) {
+  double cost = 0.0;
+  for (int a : m.instance().TouchedAttributesOfTransaction(t)) {
+    if (p.HasAttribute(a, s)) cost += m.c1(a, t);
+  }
+  return cost;
+}
+
+double Objective(const CostCoefficients& m, const Partitioning& p) {
+  const Instance& instance = m.instance();
+  double objective = 0.0;
+  for (int t = 0; t < instance.num_transactions(); ++t) {
+    const int s = p.SiteOfTransaction(t);
+    for (int a : instance.TouchedAttributesOfTransaction(t)) {
+      if (p.HasAttribute(a, s)) objective += m.c1(a, t);
+    }
+  }
+  for (int a = 0; a < instance.num_attributes(); ++a) {
+    if (m.c2(a) != 0.0) objective += m.c2(a) * p.ReplicaCount(a);
+  }
+  return objective;
+}
+
+double ScalarizedObjective(const CostCoefficients& m, const Partitioning& p) {
+  const Instance& instance = m.instance();
+  std::vector<double> loads(p.num_sites(), 0.0);
+  double objective = 0.0;
+  for (int t = 0; t < instance.num_transactions(); ++t) {
+    const int s = p.SiteOfTransaction(t);
+    for (int a : instance.TouchedAttributesOfTransaction(t)) {
+      if (p.HasAttribute(a, s)) {
+        objective += m.c1(a, t);
+        loads[s] += m.c3(a, t);
+      }
+    }
+  }
+  for (int a = 0; a < instance.num_attributes(); ++a) {
+    int replicas = 0;
+    for (int s = 0; s < p.num_sites(); ++s) {
+      if (!p.HasAttribute(a, s)) continue;
+      ++replicas;
+      if (m.c4(a) != 0.0) loads[s] += m.c4(a);
+    }
+    if (m.c2(a) != 0.0) objective += m.c2(a) * replicas;
+  }
+  double max_load = 0.0;
+  for (double load : loads) max_load = std::max(max_load, load);
+  const double lambda = m.params().lambda;
+  return (1.0 - lambda) * objective + lambda * max_load;
+}
+
+bool ComputeOptimalY(const CostCoefficients& m, Partitioning& p,
+                     bool allow_replication) {
+  const Instance& instance = m.instance();
+  const int num_a = instance.num_attributes();
+  const int num_s = p.num_sites();
+  std::vector<double> kappa(static_cast<size_t>(num_a) * num_s);
+  for (int a = 0; a < num_a; ++a) {
+    for (int s = 0; s < num_s; ++s) kappa[a * num_s + s] = m.c2(a);
+  }
+  std::vector<uint8_t> forced(static_cast<size_t>(num_a) * num_s, 0);
+  for (int t = 0; t < instance.num_transactions(); ++t) {
+    const int s = p.SiteOfTransaction(t);
+    for (int a : instance.TouchedAttributesOfTransaction(t)) {
+      kappa[a * num_s + s] += m.c1(a, t);
+    }
+    for (int a : instance.ReadSetOfTransaction(t)) forced[a * num_s + s] = 1;
+  }
+  for (int a = 0; a < num_a; ++a) {
+    p.ClearAttribute(a);
+    int placed = 0;
+    int forced_count = 0;
+    for (int s = 0; s < num_s; ++s) {
+      if (forced[a * num_s + s]) {
+        p.PlaceAttribute(a, s);
+        ++placed;
+        ++forced_count;
+      }
+    }
+    if (!allow_replication) {
+      if (forced_count > 1) return false;
+      if (forced_count == 0) {
+        int best_s = 0;
+        for (int s = 1; s < num_s; ++s) {
+          if (kappa[a * num_s + s] < kappa[a * num_s + best_s]) best_s = s;
+        }
+        p.PlaceAttribute(a, best_s);
+      }
+      continue;
+    }
+    for (int s = 0; s < num_s; ++s) {
+      if (!forced[a * num_s + s] && kappa[a * num_s + s] < 0.0) {
+        p.PlaceAttribute(a, s);
+        ++placed;
+      }
+    }
+    if (placed == 0) {
+      int best_s = 0;
+      for (int s = 1; s < num_s; ++s) {
+        if (kappa[a * num_s + s] < kappa[a * num_s + best_s]) best_s = s;
+      }
+      p.PlaceAttribute(a, best_s);
+    }
+  }
+  return true;
+}
+
+bool ComputeOptimalX(const CostCoefficients& m, Partitioning& p,
+                     bool allow_replication) {
+  const Instance& instance = m.instance();
+  for (int t = 0; t < instance.num_transactions(); ++t) {
+    const std::vector<int>& reads = instance.ReadSetOfTransaction(t);
+    int best_site = -1;
+    double best_cost = 0.0;
+    for (int s = 0; s < p.num_sites(); ++s) {
+      bool covered = true;
+      for (int a : reads) {
+        if (!p.HasAttribute(a, s)) {
+          covered = false;
+          break;
+        }
+      }
+      if (!covered) continue;
+      const double cost = TransactionOnSiteCost(m, p, t, s);
+      if (best_site < 0 || cost < best_cost) {
+        best_site = s;
+        best_cost = cost;
+      }
+    }
+    if (best_site >= 0) {
+      p.AssignTransaction(t, best_site);
+      continue;
+    }
+    if (!allow_replication) return false;
+    int repair_site = 0;
+    double repair_cost = 1e300;
+    for (int s = 0; s < p.num_sites(); ++s) {
+      double cost = TransactionOnSiteCost(m, p, t, s);
+      for (int a : reads) {
+        if (!p.HasAttribute(a, s)) cost += m.c2(a);
+      }
+      if (cost < repair_cost) {
+        repair_cost = cost;
+        repair_site = s;
+      }
+    }
+    for (int a : reads) {
+      if (!p.HasAttribute(a, repair_site)) p.PlaceAttribute(a, repair_site);
+    }
+    p.AssignTransaction(t, repair_site);
+  }
+  return true;
+}
+
+}  // namespace attribute_loop
+
+// An instance with exactly `num_attributes` attributes dealt round-robin
+// over four tables, so each table's attributes spread over every word of a
+// multi-word bitset; non-dyadic widths and frequencies make the
+// coefficients inexact, so a term added out of order shows.
+Instance InstanceWithAttributes(int num_attributes, uint64_t seed) {
+  constexpr int kTables = 4;
+  const double widths[] = {0.3, 1.7, 2.9, 5.1};
+  Rng rng(seed);
+  InstanceBuilder builder("bits" + std::to_string(num_attributes));
+  std::vector<int> tables;
+  std::vector<std::vector<int>> columns(kTables);
+  for (int i = 0; i < kTables; ++i) {
+    tables.push_back(builder.AddTable("R" + std::to_string(i)));
+  }
+  for (int a = 0; a < num_attributes; ++a) {
+    columns[a % kTables].push_back(builder.AddAttribute(
+        tables[a % kTables], "a" + std::to_string(a),
+        widths[rng.NextBounded(4)]));
+  }
+  for (int t = 0; t < 8; ++t) {
+    const int txn = builder.AddTransaction("T" + std::to_string(t));
+    const int queries = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int q = 0; q < queries; ++q) {
+      const int tbl = static_cast<int>(rng.NextBounded(kTables));
+      std::vector<int> refs;
+      for (int a : columns[tbl]) {
+        if (rng.NextBool(0.3)) refs.push_back(a);
+      }
+      if (refs.empty()) refs.push_back(columns[tbl].back());
+      const std::string name = "q" + std::to_string(t) + "_" +
+                               std::to_string(q);
+      const double frequency = 0.7 + rng.NextDouble();
+      const double rows = 1.0 + static_cast<double>(rng.NextBounded(5));
+      if (rng.NextBool(0.3)) {
+        builder.AddUpdateQuery(txn, name, frequency, refs, {refs.front()},
+                               rows);
+      } else {
+        builder.AddQuery(txn, name, QueryKind::kRead, frequency, refs,
+                         {{tables[tbl], rows}});
+      }
+    }
+  }
+  StatusOr<Instance> built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(*built);
+}
+
+// The set-bit kernels equal the attribute loops bit for bit, on one-word
+// (|A| < 64 and = 64) and three-word (|A| = 130) bitsets, at 1, 2, 3 and 9
+// sites (9 overflows ScalarizedObjective's stack buffer of site loads).
+// ComputeOptimalX starts from sparse random placements, so some
+// transactions have no covering site and take the repair path.
+TEST(CostBackendPropertyTest, SetBitKernelsMatchTheAttributeLoop) {
+  Rng rng(41);
+  for (int num_attributes : {37, 64, 130}) {
+    Instance instance = InstanceWithAttributes(num_attributes, 700 +
+                                               num_attributes);
+    ASSERT_EQ(instance.num_attributes(), num_attributes);
+    for (const char* backend :
+         {kCostModelPaper, kCostModelCacheline, kCostModelDiskPage}) {
+      std::shared_ptr<const CostCoefficients> model =
+          Build(instance, backend, {.p = 8, .lambda = 0.7});
+      for (int sites : {1, 2, 3, 9}) {
+        const std::string where = std::string(backend) + " |A| " +
+                                  std::to_string(num_attributes) +
+                                  " sites " + std::to_string(sites);
+        for (int trial = 0; trial < 4; ++trial) {
+          Partitioning p = RandomPartitioning(instance, sites, rng);
+          EXPECT_EQ(model->Objective(p), attribute_loop::Objective(*model, p))
+              << where;
+          EXPECT_EQ(model->ScalarizedObjective(p),
+                    attribute_loop::ScalarizedObjective(*model, p))
+              << where;
+          for (int t = 0; t < instance.num_transactions(); ++t) {
+            for (int s = 0; s < sites; ++s) {
+              EXPECT_EQ(model->TransactionOnSiteCost(p, t, s),
+                        attribute_loop::TransactionOnSiteCost(*model, p, t, s))
+                  << where << " t " << t << " s " << s;
+            }
+          }
+          for (bool replicate : {true, false}) {
+            // An infeasible x leaves y unspecified, so only a derived y
+            // is compared.
+            Partitioning y_bits = p, y_loop = p;
+            const bool y_ok = ComputeOptimalY(*model, y_bits, replicate);
+            EXPECT_EQ(y_ok, attribute_loop::ComputeOptimalY(*model, y_loop,
+                                                            replicate))
+                << where;
+            if (y_ok) {
+              EXPECT_EQ(y_bits, y_loop) << where;
+            }
+
+            Partitioning x_bits(instance.num_transactions(), num_attributes,
+                                sites);
+            for (int a = 0; a < num_attributes; ++a) {
+              if (rng.NextBool(0.6)) {
+                x_bits.PlaceAttribute(
+                    a, static_cast<int>(rng.NextBounded(sites)));
+              }
+            }
+            Partitioning x_loop = x_bits;
+            EXPECT_EQ(ComputeOptimalX(*model, x_bits, replicate),
+                      attribute_loop::ComputeOptimalX(*model, x_loop,
+                                                      replicate))
+                << where;
+            EXPECT_EQ(x_bits, x_loop) << where;
+          }
         }
       }
     }

@@ -76,6 +76,30 @@ TEST(PartitioningTest, PackedHalvesRoundTrip) {
   q.UnpackAssignment(site_bits, x.data());
   q.UnpackPlacement(y.data());
   EXPECT_EQ(q, p);
+
+  // 70 attributes: one site's bitset spans two words. At 1 site the packed
+  // y is that bitset; at 2 sites the second starts at bit 70, mid-word.
+  for (int sites : {1, 2}) {
+    Partitioning wide(1, 70, sites);
+    wide.AssignTransaction(0, 0);
+    for (int a = 0; a < 70; ++a) {
+      for (int s = 0; s < sites; ++s) {
+        if ((a * 5 + s * 3) % 7 < 3 || a == 69) wide.PlaceAttribute(a, s);
+      }
+    }
+    const int words = Partitioning::PlacementWords(70, sites);
+    ASSERT_EQ(words, sites == 1 ? 2 : 3);
+    std::vector<uint64_t> packed(words);
+    wide.PackPlacement(packed.data());
+    Partitioning back(1, 70, sites);
+    back.AssignTransaction(0, 0);
+    for (int s = 0; s < sites; ++s) back.PlaceAttribute(2, s);  // not in wide
+    back.UnpackPlacement(packed.data());
+    EXPECT_EQ(back, wide) << sites << " sites";
+    for (int s = 0; s < sites; ++s) {
+      EXPECT_EQ(back.AttributesOnSite(s), wide.AttributesOnSite(s));
+    }
+  }
 }
 
 TEST(ValidatePartitioningTest, AcceptsFeasible) {

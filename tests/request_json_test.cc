@@ -106,6 +106,36 @@ TEST(RequestJsonTest, RejectsUnknownServeKeyListingValidOnes) {
       << bad.status().ToString();
 }
 
+// Thread counts are bounded at admission: 1,000,000 or −1 for either key
+// is an InvalidArgument naming the key, and the bound itself is admitted.
+// The parser runs before any solve, so none of this starts a thread.
+TEST(RequestJsonTest, RejectsThreadCountsOutsideTheBound) {
+  const std::string bound = std::to_string(kMaxRequestThreads);
+  for (const std::string value : {"1000000", "-1"}) {
+    auto threads = ParseCliRequest(
+        R"({"instance": {"builtin": "tpcc"}, "solver": "sa", "num_threads": )" +
+        value + "}");
+    ASSERT_FALSE(threads.ok()) << value;
+    EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Contains(threads.status(),
+                         "\"num_threads\" must be in [0, " + bound + "]"))
+        << threads.status().ToString();
+
+    auto bnb = ParseCliRequest(
+        R"({"instance": {"builtin": "tpcc"}, "solver": "sa",
+            "ilp": {"bnb_threads": )" +
+        value + "}}");
+    ASSERT_FALSE(bnb.ok()) << value;
+    EXPECT_EQ(bnb.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Contains(bnb.status(), "\"ilp.bnb_threads\" must be in"))
+        << bnb.status().ToString();
+  }
+  auto at_bound = ParseCliRequest(
+      R"({"instance": {"builtin": "tpcc"}, "num_threads": )" + bound +
+      R"(, "ilp": {"bnb_threads": )" + bound + "}}");
+  EXPECT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+}
+
 TEST(RequestJsonTest, BatchAdvisorResultSerializesSharedDocument) {
   Instance instance = MakeTpccInstance();
   BatchAdvisorResult result;

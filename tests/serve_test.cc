@@ -324,6 +324,50 @@ TEST(ServeTest, InvalidRequestNamesOffendingKeyAndKeepsConnection) {
   server.Shutdown();
 }
 
+// An over-threaded request is refused at admission with the typed
+// invalid_request error naming the key, and the daemon keeps serving. The
+// parser refuses it before it is queued, so no thread starts for it.
+TEST(ServeTest, OverThreadedRequestGetsTypedErrorAndKeepsServing) {
+  AdviseServerOptions options;
+  options.socket_path = SocketPath("threads");
+  AdviseServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<ServeClient> client = ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+
+  for (int count : {1000000, -1}) {
+    JsonValue threads = MakeRequest(InstanceText(10), "sa", 2, "threads");
+    threads.Set("num_threads", count);
+    StatusOr<std::string> reply = client->Roundtrip(threads.Serialize());
+    ASSERT_TRUE(reply.ok());
+    JsonValue doc = MustParse(*reply);
+    EXPECT_EQ(ErrorCodeOf(doc), "invalid_request") << *reply;
+    EXPECT_NE(doc.Find("error")->Find("message")->as_string().find(
+                  "num_threads"),
+              std::string::npos)
+        << *reply;
+
+    JsonValue bnb = MakeRequest(InstanceText(10), "sa", 2, "bnb");
+    JsonValue ilp = JsonValue::MakeObject();
+    ilp.Set("bnb_threads", count);
+    bnb.Set("ilp", std::move(ilp));
+    reply = client->Roundtrip(bnb.Serialize());
+    ASSERT_TRUE(reply.ok());
+    doc = MustParse(*reply);
+    EXPECT_EQ(ErrorCodeOf(doc), "invalid_request") << *reply;
+    EXPECT_NE(doc.Find("error")->Find("message")->as_string().find(
+                  "ilp.bnb_threads"),
+              std::string::npos)
+        << *reply;
+  }
+
+  StatusOr<std::string> good = client->Roundtrip(
+      MakeRequest(InstanceText(10), "sa", 2, "ok").Serialize());
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(MustParse(*good).Find("error"), nullptr) << *good;
+  server.Shutdown();
+}
+
 TEST(ServeTest, DisconnectMidSolveLeavesServerServing) {
   AdviseServerOptions options;
   options.socket_path = SocketPath("disconnect");

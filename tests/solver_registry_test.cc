@@ -151,6 +151,34 @@ TEST(SolverRegistryTest, ResolveRejectsUnknownSolver) {
 // request_json: the CLI's JSON contract.
 // ---------------------------------------------------------------------------
 
+// Advise bounds the thread counts of a request built in code, as the
+// parser bounds the wire's, before anything solves. The requests name SA,
+// which starts no thread, so even a missing check would start none.
+TEST(AdviseTest, RejectsThreadCountsOutsideTheBound) {
+  Instance tpcc = MakeTpccInstance();
+  for (int count : {1000000, -1}) {
+    AdviseRequest request;
+    request.solver = kSolverSa;
+    request.time_limit_seconds = 1;
+    request.num_threads = count;
+    StatusOr<AdviseResponse> threads = Advise(tpcc, request);
+    ASSERT_FALSE(threads.ok()) << count;
+    EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(threads.status().message().find("num_threads"),
+              std::string::npos)
+        << threads.status().ToString();
+
+    request.num_threads = 1;
+    request.ilp.bnb_threads = count;
+    StatusOr<AdviseResponse> bnb = Advise(tpcc, request);
+    ASSERT_FALSE(bnb.ok()) << count;
+    EXPECT_EQ(bnb.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bnb.status().message().find("ilp.bnb_threads"),
+              std::string::npos)
+        << bnb.status().ToString();
+  }
+}
+
 TEST(RequestJsonTest, ParsesFullRequest) {
   auto cli = ParseCliRequest(R"({
     "instance": {"builtin": "tpcc"},

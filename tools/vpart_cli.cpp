@@ -122,7 +122,7 @@ void PrintHelp() {
       "  instance              {\"builtin\": \"tpcc\"} | {\"file\": ...} |\n"
       "                        {\"text\": ...} | {\"random\": \"rndAt8x15\"}\n"
       "  solver                registry name (default \"auto\")\n"
-      "  num_sites/num_threads ints; cost {p, lambda}\n"
+      "  num_sites/num_threads ints (num_threads 0..256); cost {p, lambda}\n"
       "  cost_model            {\"backend\": \"paper\"|\"cacheline\"|\n"
       "                        \"disk_page\", per-backend option blocks}\n"
       "  time_limit_seconds    whole-request wall clock\n"
@@ -132,7 +132,7 @@ void PrintHelp() {
       "  certify               true = independent post-solve certification\n"
       "                        (response carries \"certified\": true)\n"
       "  ilp.bnb_threads       branch & bound worker threads for one\n"
-      "                        exact solve\n"
+      "                        exact solve (0..256)\n"
       "  ilp.audit             \"off\"|\"cheap\"|\"full\" node-LP invariant\n"
       "                        audits; failures surface as\n"
       "                        telemetry.mip.audit_failures\n"
