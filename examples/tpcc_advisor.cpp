@@ -1,6 +1,6 @@
 // Partitioning advisor for the TPC-C workload — the paper's flagship
 // experiment as a runnable tool, driven through the service API
-// (AdviseSession, with the solver picked by name from the solver table).
+// (AdviseWithHooks, with the solver picked by name from the solver table).
 //
 //   $ ./build/tpcc_advisor [sites] [p] [lambda] [solver] [threads]
 //
@@ -23,7 +23,7 @@
 #include <cstring>
 #include <string>
 
-#include "api/session.h"
+#include "api/advise.h"
 #include "api/solver_registry.h"
 #include "cost/cost_model.h"
 #include "engine/batch_advisor.h"
@@ -170,19 +170,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Async session: incumbents stream to stderr as the solvers find them.
-  AdviseSession session(tpcc, request);
-  session.OnIncumbent([](const IncumbentEvent& event) {
+  // Incumbents stream to stderr as the solvers find them.
+  AdviseHooks hooks;
+  hooks.token = CancellationToken::WithDeadline(request.time_limit_seconds);
+  hooks.incumbent = [](const IncumbentEvent& event) {
     std::fprintf(stderr, "  [%6.2fs] %-11s incumbent cost %.0f\n",
                  event.elapsed, event.source.c_str(), event.cost);
-  });
-  Status started = session.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "session start failed: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
-  const StatusOr<AdviseResponse>& response = session.Wait();
+  };
+  const StatusOr<AdviseResponse> response =
+      AdviseWithHooks(tpcc, request, hooks);
   if (!response.ok()) {
     std::fprintf(stderr, "advisor failed: %s\n",
                  response.status().ToString().c_str());

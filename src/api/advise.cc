@@ -209,8 +209,8 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
   }
 
   // The backend prices the (possibly reduced) solve instance; Borrow is
-  // sound here because the synchronous solve cannot outlive this frame —
-  // sessions own the instance via shared_ptr one layer up.
+  // sound here because the synchronous solve, and every thread it starts,
+  // ends before this frame returns.
   StatusOr<std::shared_ptr<const CostCoefficients>> solve_model =
       InvalidArgumentError("unbuilt");
   {
@@ -278,13 +278,16 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
   response.search_exhausted = proof.search_exhausted;
   response.pruned_by_external_bound = proof.pruned_by_external_bound;
   response.root_basis = proof.root_basis;
-  if (hooks.user_cancelled != nullptr &&
-      hooks.user_cancelled->load(std::memory_order_relaxed)) {
+  // Cancelled means stopped short by the caller: the token was cancelled
+  // before its deadline and the answer is unproven. A proving portfolio
+  // race cancels the token itself to stop its heuristic lanes.
+  if (!result.proven_optimal && hooks.token.cancelled() &&
+      !hooks.token.deadline().Expired()) {
     response.outcome = AdviseOutcome::kCancelled;
   }
   response.incumbents = incumbents.load(std::memory_order_relaxed);
-  // Terminal event: the stream always ends with "done" so consumers can
-  // close out without racing Wait()/Poll().
+  // Terminal event: the stream always ends with "done", which carries the
+  // largest seq, so consumers can close out on it.
   if (hooks.progress) {
     ProgressEvent done;
     done.phase = "done";
@@ -340,6 +343,21 @@ StatusOr<AdviseResponse> RunAdvice(const Instance& instance,
 }
 
 }  // namespace
+
+ProgressCallback ProgressRecorder::Hook() {
+  return [this](const ProgressEvent& event) {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Ticks fill all but the last slot, which the terminal event takes.
+    if (event.phase == "done" || events_.size() + 1 < kMaxRecordedEvents) {
+      events_.push_back(event);
+    }
+  };
+}
+
+std::vector<ProgressEvent> ProgressRecorder::Take() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::move(events_);
+}
 
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,

@@ -1,10 +1,10 @@
 #ifndef VPART_API_ADVISE_H_
 #define VPART_API_ADVISE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,8 +121,9 @@ struct AdviseRequest {
   /// Appendix-A per-query latency penalty; only the ILP prices it exactly
   /// (SolverEntry::prices_latency in solver_registry.h).
   double latency_penalty = 0.0;
-  /// Whole-request wall clock; <= 0 means unlimited. Sessions turn this
-  /// into the CancellationToken deadline shared by every stage.
+  /// Whole-request wall clock; <= 0 means unlimited. Advise, vpart_cli and
+  /// the daemon turn this into the CancellationToken deadline shared by
+  /// every stage.
   double time_limit_seconds = 30.0;
   uint64_t seed = 1;
   /// Run the independent SolutionCertifier (check/certifier.h) over the
@@ -148,9 +149,11 @@ struct AdviseRequest {
   WarmSeed warm;
 };
 
-/// How a request finished. Deadline expiry is kComplete (the solver
-/// returned its best answer inside its budget, like the legacy API);
-/// kCancelled is reserved for an explicit Cancel().
+/// How a request finished. kCancelled means the request's token was
+/// cancelled before its deadline and the answer is not proven optimal: the
+/// caller stopped the solve short. Deadline expiry is kComplete (the solver
+/// returned its best answer inside its budget), and so is a proof, also
+/// one whose portfolio race cancelled the token to stop its other lanes.
 enum class AdviseOutcome { kComplete, kCancelled };
 
 const char* AdviseOutcomeName(AdviseOutcome outcome);
@@ -169,7 +172,8 @@ struct AdviseResponse {
   /// Human-readable advisories: capability downgrades ("auto" skipping the
   /// portfolio under latency_penalty), ignored blocks, etc.
   std::vector<std::string> warnings;
-  /// Event-stream telemetry: how many events fired during the solve.
+  /// Event-stream telemetry: how many events fired during the solve (all
+  /// of them, also those a ProgressRecorder did not keep).
   long progress_events = 0;
   long incumbents = 0;
   /// Branch & bound telemetry of the solve (the ilp solver or the
@@ -207,15 +211,35 @@ struct AdviseResponse {
 };
 
 /// Hooks threaded through a solve; every field is optional. `token` copies
-/// alias shared state, so Cancel() on the caller's copy stops the solve.
+/// alias shared state, so Cancel() on the caller's copy, from any thread,
+/// stops the solve: every stage polls it and returns its best incumbent so
+/// far, and the response reads kCancelled unless that answer is proven.
 struct AdviseHooks {
   CancellationToken token;
   ProgressCallback progress;
   IncumbentCallback incumbent;
-  /// When non-null and true at the end of the solve, the response outcome
-  /// is kCancelled (distinguishes user cancel from deadline expiry, which
-  /// both latch the token flag).
-  const std::atomic<bool>* user_cancelled = nullptr;
+};
+
+/// Records one request's progress stream for its reply: the `emit_events`
+/// recorder of vpart_cli and the daemon. It keeps at most
+/// kMaxRecordedEvents events, the first ticks to arrive and always the
+/// terminal "done" event, so a recorded stream ends with done however many
+/// ticks the solve emitted; AdviseResponse::progress_events still counts
+/// them all. Hook() may run on many solver threads at once.
+class ProgressRecorder {
+ public:
+  static constexpr size_t kMaxRecordedEvents = 4096;
+
+  /// The AdviseHooks::progress callback; the recorder must outlive the
+  /// solve it is installed in.
+  ProgressCallback Hook();
+
+  /// The recorded events in arrival order; call once the solve returned.
+  std::vector<ProgressEvent> Take();
+
+ private:
+  std::mutex mu_;
+  std::vector<ProgressEvent> events_;
 };
 
 /// Upper bound on every thread count a request names: `num_threads`,
@@ -230,14 +254,15 @@ constexpr int kMaxRequestThreads = 256;
 Status CheckThreadCount(const std::string& name, int count);
 
 /// Synchronous advise: resolves the solver, applies attribute grouping,
-/// solves, validates, and prices the result. The blocking core that
-/// AdviseSession runs on a background thread.
+/// solves, validates, and prices the result on the calling thread.
 StatusOr<AdviseResponse> Advise(const Instance& instance,
                                 const AdviseRequest& request);
 
-/// As Advise, with caller-provided cancellation and event hooks. The token
-/// must carry the request deadline if one is wanted (AdviseSession and
-/// Advise construct it via CancellationToken::WithDeadline).
+/// As Advise, with caller-provided cancellation and event hooks: the one
+/// request path of vpart_cli and the daemon. The token must carry the
+/// request deadline if one is wanted (Advise and both front ends construct
+/// it via CancellationToken::WithDeadline(request.time_limit_seconds)). To
+/// cancel from another thread, run the call on a thread of its own.
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,
                                          const AdviseHooks& hooks);

@@ -9,17 +9,19 @@
 
 namespace vpart {
 
-/// One tick of a running solve. Events form a stream ordered by `elapsed`
-/// within a session; consumers must treat them as advisory telemetry (the
+/// One tick of a running solve. Events form a stream ordered by `seq`
+/// within a request; consumers must treat them as advisory telemetry (the
 /// final answer is the AdviseResponse, not the last event).
 ///
 /// Delivery contract: callbacks are invoked synchronously from whichever
 /// solver thread produced the event — a portfolio lane, a branch & bound
-/// worker, the session thread. Handlers must be thread-safe and cheap; a
-/// slow handler stalls the solve that called it.
+/// worker, the thread that called AdviseWithHooks. Handlers must be
+/// thread-safe and cheap; a slow handler stalls the solve that called it.
+/// vpart_cli and the daemon record the stream with a ProgressRecorder
+/// (api/advise.h), capped at 4,096 events that always end with "done".
 struct ProgressEvent {
   /// Emitting stage: "sa", "ilp", "incremental", "exhaustive", "portfolio",
-  /// or "done" (the session's terminal event).
+  /// or "done" (the request's terminal event).
   std::string phase;
   /// Monotonic position in the request's event stream, assigned centrally
   /// by AdviseWithHooks: unique and dense (0..N-1) per request, with the

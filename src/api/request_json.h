@@ -101,7 +101,7 @@ StatusOr<Instance> LoadCliInstance(const CliRequest& request);
 JsonValue CliRequestToJson(const CliRequest& request);
 
 /// Response document for one advise run. `events` may be empty (attach the
-/// stream a session recorded to honor emit_events).
+/// stream a ProgressRecorder kept to honor emit_events).
 JsonValue AdviseResponseToJson(const Instance& instance,
                                const AdviseResponse& response,
                                bool emit_partitioning,

@@ -442,9 +442,10 @@ StatusOr<std::string> ResolveSolver(const Instance& instance,
     return std::string(kSolverIlp);
   }
 
-  // Enumerating site assignments is exact and instant for small |T|.
-  if (instance.num_transactions() <= 9) {
-    return check_latency(*FindSolver(kSolverExhaustive));
+  // Enumerating site assignments is instant for small |T|. It does not
+  // price the Appendix-A term, so latency_penalty goes to the ILP below.
+  if (request.latency_penalty <= 0 && instance.num_transactions() <= 9) {
+    return std::string(kSolverExhaustive);
   }
   // The ILP stays tractable while the linearization is small.
   size_t u_estimate = 0;

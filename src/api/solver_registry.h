@@ -73,10 +73,11 @@ std::vector<std::string> SolverNames();
 /// validated against the table. "auto" picks the portfolio when the
 /// request grants threads (the ILP's parallel branch & bound, with a
 /// warning, when latency_penalty needs the Appendix-A term the portfolio
-/// does not price), exact enumeration for tiny instances, the ILP while
-/// its linearization stays small, SA otherwise. A solver that does not
-/// price a requested latency_penalty adds a warning. `instance` is the
-/// instance that will actually be solved (after any attribute grouping).
+/// does not price), enumeration for tiny instances unless latency_penalty
+/// is set, the ILP while its linearization stays small, SA otherwise. A
+/// solver that does not price a requested latency_penalty adds a warning.
+/// `instance` is the instance that will actually be solved (after any
+/// attribute grouping).
 StatusOr<std::string> ResolveSolver(const Instance& instance,
                                     const AdviseRequest& request,
                                     std::vector<std::string>* warnings);

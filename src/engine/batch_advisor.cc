@@ -127,8 +127,8 @@ StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
   const int threads_used = batch.table_threads > 0 ? batch.table_threads
                                                    : DefaultThreadCount();
   // Per-table solves go through the service API (one request template,
-  // one solver resolution path) — the same pipeline AdviseSession runs,
-  // minus the telemetry snapshots: a lane keeps only `result`.
+  // one solver resolution path) — the same pipeline Advise runs, minus
+  // the telemetry snapshots: a lane keeps only `result`.
   // Each solve gets its own span on whichever thread picked it up, so
   // traces show the per-table schedule across threads.
   ParallelFor(n, threads_used, [&](int i) {

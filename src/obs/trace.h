@@ -16,7 +16,7 @@ namespace vpart {
 /// How much instrumentation a request pays for.
 ///  - kOff:   no spans, no instant events (metrics counters stay on —
 ///            they are a handful of relaxed adds per request).
-///  - kBasic: request-lifecycle spans (session, dispatch, solver phases,
+///  - kBasic: request-lifecycle spans (advise, dispatch, solver phases,
 ///            batch lanes). The default; overhead is noise-level.
 ///  - kFull:  adds hot-path spans — B&B nodes/dives, LP solves and
 ///            refactorizations — for flame-chart depth at a few percent
@@ -104,7 +104,7 @@ class Tracer {
   void RecordInstant(std::string name, const char* category,
                      std::vector<std::pair<std::string, std::string>> args);
 
-  /// Names the calling thread's lane in trace exports ("advise-session").
+  /// Names the calling thread's lane in trace exports ("lane-0").
   /// Registers the thread's ring even when it records nothing. Safe to
   /// call repeatedly; the latest name wins.
   void SetCurrentThreadName(const std::string& name);

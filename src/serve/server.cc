@@ -374,14 +374,8 @@ JsonValue AdviseServer::HandleRequest(QueuedRequest& request,
 
   AdviseHooks hooks;
   hooks.token = solve_token;
-  std::mutex events_mu;
-  std::vector<ProgressEvent> events;
-  if (cli.emit_events) {
-    hooks.progress = [&events_mu, &events](const ProgressEvent& event) {
-      std::lock_guard<std::mutex> lock(events_mu);
-      events.push_back(event);
-    };
-  }
+  ProgressRecorder recorder;
+  if (cli.emit_events) hooks.progress = recorder.Hook();
   StatusOr<AdviseResponse> response =
       AdviseWithHooks(*instance, solve_request, hooks);
   if (!response.ok()) {
@@ -389,16 +383,15 @@ JsonValue AdviseServer::HandleRequest(QueuedRequest& request,
                           response.status().message(), wire_id);
   }
 
-  // Cache the answer — unless the solve was cancelled externally (a
-  // dropped connection): then the recorded budget would overstate what
-  // the partial answer actually got, poisoning budget-coverage checks.
-  const bool cancelled_externally =
-      solve_token.cancelled() && !solve_token.deadline().Expired();
-  if (!cancelled_externally) {
+  // Cache the answer — unless it was cancelled (a dropped connection or a
+  // shutdown stopped it unproven): then the recorded budget would
+  // overstate what the partial answer actually got, poisoning
+  // budget-coverage checks.
+  if (response->outcome != AdviseOutcome::kCancelled) {
     cache_.Insert(std::move(fp), solve_request, *response);
   }
-  JsonValue out =
-      AdviseResponseToJson(*instance, *response, cli.emit_partitioning, events);
+  JsonValue out = AdviseResponseToJson(*instance, *response,
+                                       cli.emit_partitioning, recorder.Take());
   out.Set("serve", ServeMeta(wire_id, *cache_kind));
   return out;
 }

@@ -151,6 +151,67 @@ TEST(ServeTest, ExactRepeatIsServedFromCacheCertified) {
   server.Shutdown();
 }
 
+// A portfolio race that proves cancels its own request token to stop the
+// heuristic lanes. That answer is complete, so it is cached like any other.
+TEST(ServeTest, ProvenPortfolioRepeatIsAnExactHit) {
+  AdviseServerOptions options;
+  options.socket_path = SocketPath("portfolio");
+  AdviseServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<ServeClient> client = ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  JsonValue request = MakeRequest(InstanceText(10), "portfolio", 10, "p");
+  request.Set("num_threads", 2);
+
+  StatusOr<std::string> first = client->Roundtrip(request.Serialize());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  JsonValue first_doc = MustParse(*first);
+  ASSERT_EQ(first_doc.Find("error"), nullptr) << *first;
+  EXPECT_EQ(CacheKindOf(first_doc), "miss");
+  ASSERT_TRUE(first_doc.Find("proven_optimal")->as_bool());
+  EXPECT_EQ(first_doc.Find("status")->as_string(), "complete");
+
+  StatusOr<std::string> second = client->Roundtrip(request.Serialize());
+  ASSERT_TRUE(second.ok());
+  JsonValue second_doc = MustParse(*second);
+  ASSERT_EQ(second_doc.Find("error"), nullptr) << *second;
+  EXPECT_EQ(CacheKindOf(second_doc), "exact");
+  server.Shutdown();
+}
+
+// emit_events goes through the same capped recorder as vpart_cli: a reply
+// keeps at most 4,096 events and always ends with "done", while
+// telemetry.progress_events counts every event the solve emitted.
+TEST(ServeTest, EventStreamIsCappedAndEndsWithDone) {
+  AdviseServerOptions options;
+  options.socket_path = SocketPath("events");
+  AdviseServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<ServeClient> client = ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // 6,000 restarts on the two-transaction instance emit 6,003 events.
+  JsonValue request = MakeRequest(InstanceText(10), "sa", 60, "ev");
+  JsonValue sa = JsonValue::MakeObject();
+  sa.Set("max_restarts", 6000);
+  request.Set("sa", std::move(sa));
+  request.Set("emit_events", true);
+
+  StatusOr<std::string> reply = client->Roundtrip(request.Serialize());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  JsonValue doc = MustParse(*reply);
+  ASSERT_EQ(doc.Find("error"), nullptr) << doc.Serialize();
+  const JsonValue* telemetry = doc.Find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  EXPECT_GT(telemetry->Find("progress_events")->as_number(), 4096);
+  EXPECT_EQ(telemetry->Find("incumbents")->as_number(), 0);
+  const JsonValue* events = doc.Find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_FALSE(events->as_array().empty());
+  EXPECT_LE(events->as_array().size(), 4096u);
+  EXPECT_EQ(events->as_array().back().Find("phase")->as_string(), "done");
+  server.Shutdown();
+}
+
 TEST(ServeTest, RenamedInstanceStillHitsExactly) {
   AdviseServerOptions options;
   options.socket_path = SocketPath("renamed");

@@ -77,6 +77,20 @@ TEST(SolverRegistryTest, ResolveAutoPicksExhaustiveForTinyInstances) {
   EXPECT_TRUE(warnings.empty());
 }
 
+// At one thread, latency_penalty keeps tiny instances off exhaustive
+// enumeration, which places y by cost alone: the ILP prices the term.
+TEST(SolverRegistryTest, ResolveAutoSendsTinyLatencyRequestsToTheIlp) {
+  auto instance = MakeToyInstance();
+  ASSERT_TRUE(instance.ok());
+  AdviseRequest request;
+  request.latency_penalty = 1.0;
+  std::vector<std::string> warnings;
+  auto resolved = ResolveSolver(*instance, request, &warnings);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(*resolved, kSolverIlp);
+  EXPECT_TRUE(warnings.empty());
+}
+
 TEST(SolverRegistryTest, ResolveAutoPicksPortfolioWhenThreadsGranted) {
   auto instance = MakeToyInstance();
   ASSERT_TRUE(instance.ok());

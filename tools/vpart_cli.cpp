@@ -19,10 +19,9 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "api/advise.h"
 #include "api/request_json.h"
-#include "api/session.h"
 #include "api/solver_registry.h"
 #include "cost/cost_model_registry.h"
 #include "dist/coordinator.h"
@@ -194,16 +193,7 @@ int RunBatch(const Instance& instance, const CliRequest& cli) {
   batch.request = cli.request;
   batch.request.num_threads = 1;  // concurrency goes across tables
   batch.table_threads = cli.request.num_threads;
-  // The batch path has no AdviseSession; the CLI run is the session, so
-  // give the trace the same root span the session path records.
-  Tracer::Global().SetCurrentThreadName("advise-session");
-  ScopedObsLevel scoped_obs(cli.request.obs);
-  StatusOr<BatchAdvisorResult> advised = [&]() {
-    Span session_span("session", "session");
-    session_span.AddArg("instance", instance.name());
-    session_span.AddArg("mode", std::string("batch"));
-    return AdviseSchema(instance, batch);
-  }();
+  StatusOr<BatchAdvisorResult> advised = AdviseSchema(instance, batch);
   if (!advised.ok()) {
     std::fprintf(stderr, "batch advise failed: %s\n",
                  advised.status().ToString().c_str());
@@ -375,25 +365,24 @@ int Run(const CliArgs& args, const std::string& request_text) {
     return rc != 0 ? rc : dump_rc;
   }
 
-  // Run through an AdviseSession so the CLI exercises the same async path
-  // a service embedding would, and can replay the recorded event stream.
-  AdviseSession session(*instance, cli->request);
-  Status started = session.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "session start failed: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
-  const StatusOr<AdviseResponse>& response = session.Wait();
+  // The daemon's request path (AdviseServer::HandleRequest): the solve
+  // runs on this thread under a token that carries the time limit, and
+  // emit_events records the stream through the shared capped recorder.
+  AdviseHooks hooks;
+  hooks.token =
+      CancellationToken::WithDeadline(cli->request.time_limit_seconds);
+  ProgressRecorder recorder;
+  if (cli->emit_events) hooks.progress = recorder.Hook();
+  const StatusOr<AdviseResponse> response =
+      AdviseWithHooks(*instance, cli->request, hooks);
   if (!response.ok()) {
     std::fprintf(stderr, "advise failed: %s\n",
                  response.status().ToString().c_str());
     return 1;
   }
-  const std::vector<ProgressEvent> events =
-      cli->emit_events ? session.Events() : std::vector<ProgressEvent>{};
   JsonValue out = AdviseResponseToJson(*instance, *response,
-                                       cli->emit_partitioning, events);
+                                       cli->emit_partitioning,
+                                       recorder.Take());
   std::printf("%s\n", out.Serialize(2).c_str());
   return DumpObsFiles(args);
 }
